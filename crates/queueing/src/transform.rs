@@ -50,10 +50,11 @@ pub fn laplace_transform<D: Distribution + ?Sized>(dist: &D, s: f64) -> f64 {
 
 /// A precomputed quantile-space quadrature table: `(x, w)` pairs with
 /// `Σ w·g(x) ≈ E[g(X)]`. Building it costs one pass of (possibly
-/// bisection-based) quantile evaluations; every transform evaluation
-/// afterwards is a cheap weighted sum — the Euler inversion evaluates the
-/// service transform at ~30 complex points, and the slowdown tail at
-/// thousands, so the caching matters enormously.
+/// bisection-based) quantile evaluations (~3.7k points); every transform
+/// evaluation afterwards is a weighted sum over the table. One Euler
+/// inversion needs the service transform at all [`EULER_TERMS`] points
+/// of a vertical line, and the slowdown tail inverts at thousands of
+/// `t`, so the table is built once per band and reused.
 struct QuadTable {
     pts: Vec<(f64, f64)>,
 }
@@ -92,24 +93,31 @@ impl QuadTable {
         Self { pts }
     }
 
-    /// `E[e^{−(a+bi)X}]` as `(re, im)`.
-    fn transform(&self, a: f64, b: f64) -> (f64, f64) {
-        let mut re = 0.0;
-        let mut im = 0.0;
+    /// `E[e^{−(a+ikh)X}]` as `(re, im)` for every `k` in
+    /// `0..EULER_TERMS` — the whole vertical line one Euler inversion
+    /// walks, in a single pass over the table.
+    ///
+    /// Per point: one `exp` for the damping and one `sin_cos(h·x)` for
+    /// the unit step `e^{−ihx}`; the `k`-th term is reached by `k`
+    /// complex rotations. Three transcendental calls per point instead
+    /// of three per point *and* abscissa; the rotations cost about the
+    /// same rounding as forming `k·h·x` directly (relative error
+    /// ~`k·ε`, checked against the per-abscissa sum in the tests).
+    fn transform_line(&self, a: f64, h: f64) -> [(f64, f64); EULER_TERMS] {
+        let mut out = [(0.0, 0.0); EULER_TERMS];
         for &(x, w) in &self.pts {
-            let damp = (-a * x).exp();
-            re += w * damp * (b * x).cos();
-            im -= w * damp * (b * x).sin();
+            let (sin, cos) = (h * x).sin_cos();
+            let mut re = w * (-a * x).exp();
+            let mut im = 0.0;
+            for slot in &mut out {
+                slot.0 += re;
+                slot.1 += im;
+                // (re + i·im)·(cos − i·sin)
+                (re, im) = (re * cos + im * sin, im * cos - re * sin);
+            }
         }
-        (re, im)
+        out
     }
-}
-
-/// Complex-argument service transform `E[e^{−(a+bi)X}]`, returned as
-/// `(re, im)` — required by the Euler inversion, which evaluates `W*`
-/// along a vertical line in the complex plane.
-fn laplace_transform_complex<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> (f64, f64) {
-    QuadTable::build(dist).transform(a, b)
 }
 
 /// Complex division helper: `(a + bi) / (c + di)`.
@@ -118,13 +126,21 @@ fn cdiv(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
     ((a * c + b * d) / den, (b * c - a * d) / den)
 }
 
+/// Abate–Whitt Euler parameters: `N_BASE` plain partial sums, then
+/// binomial averaging over `M_EULER + 1` more; the inversion evaluates
+/// the transform at `EULER_TERMS` abscissae `a + ikπ/t`, `k = 0..27`.
+const N_BASE: usize = 15;
+const M_EULER: usize = 11;
+const EULER_TERMS: usize = N_BASE + M_EULER + 1;
+
 /// The M/G/1 FCFS waiting-time CDF `P(W ≤ t)` by Euler inversion of the
 /// Pollaczek–Khinchine transform.
 ///
 /// `lambda` is the arrival rate, `dist` the service distribution; the
 /// queue must be stable. Accuracy is ~1e-6 for smooth distributions;
-/// heavy-tailed service keeps the algorithm stable but the quadrature
-/// inside `X*` dominates cost (~milliseconds per point).
+/// heavy-tailed service keeps the algorithm stable. Building the
+/// quadrature table inside `X*` dominates the cost of one call; the
+/// inversion itself is one pass over the table.
 ///
 /// # Panics
 /// Panics if the queue is unstable or `t < 0`.
@@ -143,32 +159,28 @@ fn waiting_cdf_with_table(table: &QuadTable, rho: f64, lambda: f64, t: f64) -> f
         // P(W = 0) = 1 − ρ for M/G/1 FCFS
         return 1.0 - rho;
     }
-    // Invert F(t) via the transform of the *CDF*: F*(s) = W*(s)/s.
-    // Abate–Whitt Euler algorithm (M = 11 Euler terms, 15 base terms).
+    // Invert F(t) via the transform of the *CDF*: F*(s) = W*(s)/s,
+    // along the line s = a + ikh.
     const A: f64 = 18.4; // ~ 8 digits of discretisation error control
-    const N_BASE: usize = 15;
-    const M_EULER: usize = 11;
-    let w_star = |a: f64, b: f64| -> (f64, f64) {
-        // W*(s) = (1−ρ)s / (s − λ(1 − X*(s))), s = a + bi
-        let (xr, xi) = table.transform(a, b);
+    let a = A / (2.0 * t);
+    let h = std::f64::consts::PI / t;
+    let x_star = table.transform_line(a, h);
+    let f_star_re = |k: usize| -> f64 {
+        // W*(s) = (1−ρ)s / (s − λ(1 − X*(s))), then Re[W*(s)/s]
+        let b = k as f64 * h;
+        let (xr, xi) = x_star[k];
         let (nr, ni) = ((1.0 - rho) * a, (1.0 - rho) * b);
         let (dr, di) = (a - lambda * (1.0 - xr), b + lambda * xi);
-        cdiv(nr, ni, dr, di)
-    };
-    let f_star_re = |b: f64| -> f64 {
-        // Re[F*(a/2t + bi)] with F*(s) = W*(s)/s
-        let a = A / (2.0 * t);
-        let (wr, wi) = w_star(a, b);
+        let (wr, wi) = cdiv(nr, ni, dr, di);
         let (fr, _) = cdiv(wr, wi, a, b);
         fr
     };
     // partial sums
-    let mut partials = [0.0f64; N_BASE + M_EULER + 1];
-    let h = std::f64::consts::PI / t;
-    let mut sum = 0.5 * f_star_re(0.0);
+    let mut partials = [0.0f64; EULER_TERMS];
+    let mut sum = 0.5 * f_star_re(0);
     let mut sign = -1.0;
     for (k, slot) in partials.iter_mut().enumerate().skip(1) {
-        sum += sign * f_star_re(k as f64 * h);
+        sum += sign * f_star_re(k);
         sign = -sign;
         *slot = sum;
     }
@@ -192,21 +204,27 @@ pub fn mg1_waiting_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, t: f64)
     1.0 - mg1_waiting_cdf(dist, lambda, t)
 }
 
-/// Per-job *slowdown* tail `P(S > s)` of a whole SITA system: within
-/// band `i`, `P(S > s | X = x) = P(W_i > (s−1)x)`, integrated over the
-/// band's conditional size distribution and mixed across bands.
-///
-/// Together with a bisection on `s` this yields analytic slowdown
-/// percentiles for every SITA policy — the `ablation_percentiles`
-/// exhibit prints them beside the simulated estimates.
-#[must_use]
-pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
-    dist: &D,
+/// One SITA host: its band of the size distribution and the M/G/1 queue
+/// that band feeds.
+struct Host<'a, D: Distribution + ?Sized> {
+    band: BandDistribution<'a, D>,
+    /// Band mass: the share of jobs routed to this host.
+    p: f64,
+    /// The host's arrival rate `λ·p`.
+    lambda: f64,
+    /// The host's load `λ·p·E[X | band]`.
+    rho: f64,
+}
+
+/// Splits `dist` at `cutoffs` into one [`Host`] per band, in size order,
+/// leaving out empty bands (a finite mass ≤ 1e-12). Returns `None` when
+/// some band's mass or load is not finite: such a band is a defect of
+/// the distribution, not an empty host, and the caller reports NaN.
+fn split_hosts<'a, D: Distribution + ?Sized>(
+    dist: &'a D,
     lambda: f64,
     cutoffs: &[f64],
-    s: f64,
-) -> f64 {
-    assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
+) -> Option<Vec<Host<'a, D>>> {
     assert!(
         cutoffs.windows(2).all(|w| w[0] < w[1]),
         "cutoffs must be strictly increasing"
@@ -215,11 +233,14 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
     let mut edges = vec![0.0];
     edges.extend_from_slice(cutoffs);
     edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
-    let mut tail = 0.0;
+    let mut hosts = Vec::with_capacity(edges.len() - 1);
     for w in edges.windows(2) {
         let (a, b) = (w[0], w[1]);
         let p = dist.prob_in(a, b);
-        if !(p > 1e-12) {
+        if !p.is_finite() {
+            return None;
+        }
+        if p <= 1e-12 {
             continue;
         }
         let band = BandDistribution {
@@ -231,32 +252,97 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
         };
         let band_lambda = lambda * p;
         let rho = band_lambda * band.raw_moment(1);
-        if rho >= 1.0 {
-            tail += p; // saturated band: everything above any finite s
-            continue;
+        if !rho.is_finite() {
+            return None;
         }
-        if s == 1.0 {
-            tail += p * rho;
-            continue;
-        }
-        let table = QuadTable::build(&band);
-        const POINTS: usize = 32;
-        let mut acc = 0.0;
-        for i in 0..POINTS {
-            let u = (i as f64 + 0.5) / POINTS as f64;
-            let x = band.quantile(u);
-            if !x.is_finite() || x <= 0.0 {
+        hosts.push(Host { band, p, lambda: band_lambda, rho });
+    }
+    Some(hosts)
+}
+
+/// Size quantiles per band at which the slowdown tail averages the
+/// host's waiting tail (midpoint rule in quantile space).
+const SIZE_POINTS: usize = 32;
+
+/// The SITA slowdown tail with everything that does not depend on `s`
+/// computed once: per band the [`Host`], its quadrature table and
+/// [`SIZE_POINTS`] size quantiles.
+struct SlowdownTail<'a, D: Distribution + ?Sized> {
+    bands: Vec<TailBand<'a, D>>,
+}
+
+struct TailBand<'a, D: Distribution + ?Sized> {
+    host: Host<'a, D>,
+    /// `None` for a saturated host (ρ ≥ 1), whose tail needs no table.
+    table: Option<QuadTable>,
+    sizes: [f64; SIZE_POINTS],
+}
+
+impl<'a, D: Distribution + ?Sized> SlowdownTail<'a, D> {
+    /// `None` when a band's mass or load is not finite.
+    fn prepare(dist: &'a D, lambda: f64, cutoffs: &[f64]) -> Option<Self> {
+        let bands = split_hosts(dist, lambda, cutoffs)?
+            .into_iter()
+            .map(|host| TailBand {
+                table: (host.rho < 1.0).then(|| QuadTable::build(&host.band)),
+                sizes: std::array::from_fn(|i| {
+                    host.band.quantile((i as f64 + 0.5) / SIZE_POINTS as f64)
+                }),
+                host,
+            })
+            .collect();
+        Some(Self { bands })
+    }
+
+    /// `P(S > s)`: within a band, `P(S > s | X = x) = P(W > (s−1)x)`,
+    /// averaged over the band's size quantiles and mixed by band mass.
+    fn ccdf(&self, s: f64) -> f64 {
+        let mut tail = 0.0;
+        for TailBand { host, table, sizes } in &self.bands {
+            let Some(table) = table else {
+                tail += host.p; // saturated band: everything above any finite s
+                continue;
+            };
+            if s == 1.0 {
+                tail += host.p * host.rho;
                 continue;
             }
-            acc += 1.0 - waiting_cdf_with_table(&table, rho, band_lambda, (s - 1.0) * x);
+            let mut acc = 0.0;
+            for &x in sizes {
+                if !x.is_finite() || x <= 0.0 {
+                    continue;
+                }
+                acc += 1.0 - waiting_cdf_with_table(table, host.rho, host.lambda, (s - 1.0) * x);
+            }
+            tail += host.p * (acc / SIZE_POINTS as f64);
         }
-        tail += p * (acc / POINTS as f64);
+        tail.clamp(0.0, 1.0)
     }
-    tail.clamp(0.0, 1.0)
+}
+
+/// Per-job *slowdown* tail `P(S > s)` of a whole SITA system: within
+/// band `i`, `P(S > s | X = x) = P(W_i > (s−1)x)`, integrated over the
+/// band's conditional size distribution and mixed across bands.
+///
+/// Together with a bisection on `s` this yields analytic slowdown
+/// percentiles for every SITA policy — the `ablation_percentiles`
+/// exhibit prints them beside the simulated estimates. Returns NaN when
+/// a band's mass or load is not finite.
+#[must_use]
+pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
+    dist: &D,
+    lambda: f64,
+    cutoffs: &[f64],
+    s: f64,
+) -> f64 {
+    assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
+    SlowdownTail::prepare(dist, lambda, cutoffs).map_or(f64::NAN, |tail| tail.ccdf(s))
 }
 
 /// Analytic slowdown percentile of a SITA system: the smallest `s` with
-/// `P(S ≤ s) ≥ q`, by bisection on [`sita_slowdown_ccdf`].
+/// `P(S ≤ s) ≥ q`, by bisection on [`sita_slowdown_ccdf`]. The band
+/// tables are built once and shared by every step of the bisection.
+/// Returns NaN when a band's mass or load is not finite.
 #[must_use]
 pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
     dist: &D,
@@ -265,14 +351,17 @@ pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
     q: f64,
 ) -> f64 {
     assert!((0.0..1.0).contains(&q), "quantile must be in [0, 1)");
+    let Some(tail) = SlowdownTail::prepare(dist, lambda, cutoffs) else {
+        return f64::NAN;
+    };
     let target = 1.0 - q;
-    if sita_slowdown_ccdf(dist, lambda, cutoffs, 1.0) <= target {
+    if tail.ccdf(1.0) <= target {
         return 1.0;
     }
     // bracket upward geometrically
     let mut hi = 2.0;
     for _ in 0..60 {
-        if sita_slowdown_ccdf(dist, lambda, cutoffs, hi) <= target {
+        if tail.ccdf(hi) <= target {
             break;
         }
         hi *= 2.0;
@@ -280,7 +369,7 @@ pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
     let mut lo = 1.0;
     for _ in 0..40 {
         let mid = (lo * hi).sqrt();
-        if sita_slowdown_ccdf(dist, lambda, cutoffs, mid) > target {
+        if tail.ccdf(mid) > target {
             lo = mid;
         } else {
             hi = mid;
@@ -295,6 +384,10 @@ pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
 ///
 /// This turns Theorem-1-style analysis into *tail* predictions for the
 /// paper's policies — something the paper itself never computes.
+/// Returns NaN when a band's mass or load is not finite.
+///
+/// # Panics
+/// Panics if some host's queue is unstable.
 #[must_use]
 pub fn sita_waiting_ccdf<D: Distribution + ?Sized>(
     dist: &D,
@@ -302,31 +395,11 @@ pub fn sita_waiting_ccdf<D: Distribution + ?Sized>(
     cutoffs: &[f64],
     t: f64,
 ) -> f64 {
-    assert!(
-        cutoffs.windows(2).all(|w| w[0] < w[1]),
-        "cutoffs must be strictly increasing"
-    );
-    let (_, sup_hi) = dist.support();
-    let mut edges = vec![0.0];
-    edges.extend_from_slice(cutoffs);
-    edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
-    let mut tail = 0.0;
-    for w in edges.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let p = dist.prob_in(a, b);
-        if !(p > 1e-12) {
-            continue;
-        }
-        let band = BandDistribution {
-            inner: dist,
-            lo: a,
-            hi: b,
-            mass: p,
-            cdf_lo: dist.cdf(a),
-        };
-        tail += p * mg1_waiting_ccdf(&band, lambda * p, t);
-    }
-    tail
+    split_hosts(dist, lambda, cutoffs).map_or(f64::NAN, |hosts| {
+        hosts
+            .iter()
+            .fold(0.0, |tail, h| tail + h.p * mg1_waiting_ccdf(&h.band, h.lambda, t))
+    })
 }
 
 /// A size distribution conditioned on a band `(lo, hi]` — adapter so the
@@ -378,8 +451,8 @@ impl<D: Distribution + ?Sized> Distribution for BandDistribution<'_, D> {
 /// over the size distribution.
 ///
 /// This is the analytic counterpart of the `ablation_percentiles`
-/// exhibit's simulated p95/p99 columns. Cost is ~tens of milliseconds per
-/// point (nested quadratures); cache results when sweeping.
+/// exhibit's simulated p95/p99 columns. One call builds one quadrature
+/// table and runs 48 one-pass inversions over it.
 ///
 /// # Panics
 /// Panics for `s < 1` or an unstable queue.
@@ -407,16 +480,70 @@ pub fn mg1_slowdown_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, s: f64
     (acc / POINTS as f64).clamp(0.0, 1.0)
 }
 
-/// Debug hook (exposed for the workspace probe binaries).
-#[doc(hidden)]
-pub fn debug_ltc<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> (f64, f64) {
-    laplace_transform_complex(dist, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dses_dist::prelude::*;
+
+    impl QuadTable {
+        /// Reference oracle for [`QuadTable::transform_line`]:
+        /// `E[e^{−(a+bi)X}]` as `(re, im)` at one abscissa, with its own
+        /// `exp`, `cos` and `sin` per point.
+        fn transform(&self, a: f64, b: f64) -> (f64, f64) {
+            let mut re = 0.0;
+            let mut im = 0.0;
+            for &(x, w) in &self.pts {
+                let damp = (-a * x).exp();
+                re += w * damp * (b * x).cos();
+                im -= w * damp * (b * x).sin();
+            }
+            (re, im)
+        }
+    }
+
+    /// The C90 body–tail workload (mean 4562 s, C² = 43).
+    fn c90() -> impl Distribution {
+        dses_dist::fit::fit_body_tail(dses_dist::fit::BodyTailTargets {
+            mean: 4562.0,
+            scv: 43.0,
+            min: 60.0,
+            max: 2.22e6,
+            tail_jobs: 0.013,
+            tail_load: 0.5,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn transform_line_matches_per_abscissa_oracle() {
+        let exp = Exponential::new(1.0).unwrap();
+        let d = c90();
+        let lambda = 1.2 / d.mean();
+        let cutoff = crate::cutoff::sita_u_fair_cutoff(&d, lambda).unwrap();
+        let hosts = split_hosts(&d, lambda, &[cutoff]).unwrap();
+        let tables = [
+            QuadTable::build(&exp),
+            QuadTable::build(&hosts[0].band),
+            QuadTable::build(&hosts[1].band),
+        ];
+        for table in &tables {
+            let x_max = table.pts.iter().map(|&(x, _)| x).fold(0.0, f64::max);
+            let w_sum: f64 = table.pts.iter().map(|&(_, w)| w).sum();
+            // the last abscissa turns the largest size through 2e4 rad
+            let h = 2e4 / ((EULER_TERMS - 1) as f64 * x_max);
+            for a in [0.0, 18.4 * h / (2.0 * std::f64::consts::PI)] {
+                let line = table.transform_line(a, h);
+                for (k, &(re, im)) in line.iter().enumerate() {
+                    let (want_re, want_im) = table.transform(a, k as f64 * h);
+                    let tol = 1e-12 * w_sum;
+                    assert!(
+                        (re - want_re).abs() <= tol && (im - want_im).abs() <= tol,
+                        "x_max={x_max}, a={a}, k={k}: ({re}, {im}) vs ({want_re}, {want_im})"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn laplace_transform_of_exponential_is_closed_form() {
@@ -444,7 +571,7 @@ mod tests {
         let d = Exponential::new(mu).unwrap();
         for &rho in &[0.3, 0.7] {
             let lambda = rho * mu;
-            for &t in &[0.5, 2.0, 8.0] {
+            for &t in &[1e-3, 0.5, 2.0, 8.0, 1e3] {
                 let want = 1.0 - rho * (-(mu) * (1.0 - rho) * t).exp();
                 let got = mg1_waiting_cdf(&d, lambda, t);
                 assert!(
@@ -495,15 +622,7 @@ mod tests {
 
     #[test]
     fn sita_tail_on_heavy_tailed_workload_is_finite_and_ordered() {
-        let d = dses_dist::fit::fit_body_tail(dses_dist::fit::BodyTailTargets {
-            mean: 4562.0,
-            scv: 43.0,
-            min: 60.0,
-            max: 2.22e6,
-            tail_jobs: 0.013,
-            tail_load: 0.5,
-        })
-        .unwrap();
+        let d = c90();
         let lambda = 1.2 / d.mean();
         let cutoff = crate::cutoff::sita_u_fair_cutoff(&d, lambda).unwrap();
         let t1 = sita_waiting_ccdf(&d, lambda, &[cutoff], 1_000.0);
@@ -566,15 +685,7 @@ mod tests {
 
     #[test]
     fn sita_slowdown_tail_and_quantile_are_consistent() {
-        let d = dses_dist::fit::fit_body_tail(dses_dist::fit::BodyTailTargets {
-            mean: 4562.0,
-            scv: 43.0,
-            min: 60.0,
-            max: 2.22e6,
-            tail_jobs: 0.013,
-            tail_load: 0.5,
-        })
-        .unwrap();
+        let d = c90();
         let lambda = 1.2 / d.mean();
         let cutoff = crate::cutoff::sita_u_fair_cutoff(&d, lambda).unwrap();
         // P(S > 1) = per-band utilisation mixture, in (0, 1)
@@ -588,6 +699,82 @@ mod tests {
         let p90 = sita_slowdown_quantile(&d, lambda, &[cutoff], 0.9);
         let back = sita_slowdown_ccdf(&d, lambda, &[cutoff], p90);
         assert!((back - 0.1).abs() < 0.02, "P(S > p90) = {back}");
+    }
+
+    #[test]
+    fn sita_slowdown_quantile_equals_bisection_over_ccdf() {
+        // the per-quantile band tables change nothing: the same bisection
+        // written over the public ccdf (which rebuilds every table per
+        // call) lands on the same bits
+        let d = c90();
+        let lambda = 1.2 / d.mean();
+        let cutoffs = [crate::cutoff::sita_u_fair_cutoff(&d, lambda).unwrap()];
+        let q = 0.99;
+        let ccdf = |s: f64| sita_slowdown_ccdf(&d, lambda, &cutoffs, s);
+        let target = 1.0 - q;
+        assert!(ccdf(1.0) > target);
+        let mut hi = 2.0;
+        for _ in 0..60 {
+            if ccdf(hi) <= target {
+                break;
+            }
+            hi *= 2.0;
+        }
+        let mut lo = 1.0;
+        for _ in 0..40 {
+            let mid = (lo * hi).sqrt();
+            if ccdf(mid) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let want = (lo * hi).sqrt();
+        let got = sita_slowdown_quantile(&d, lambda, &cutoffs, q);
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+    }
+
+    /// Exponential whose `cdf(∞)` is NaN, as Erlang's and LogNormal's
+    /// were: the band above any cutoff then has NaN mass.
+    #[derive(Debug)]
+    struct NanAtInfinity(Exponential);
+
+    impl Distribution for NanAtInfinity {
+        fn sample(&self, rng: &mut dses_dist::Rng64) -> f64 {
+            self.0.sample(rng)
+        }
+        fn support(&self) -> (f64, f64) {
+            self.0.support()
+        }
+        fn cdf(&self, x: f64) -> f64 {
+            if x.is_infinite() {
+                f64::NAN
+            } else {
+                self.0.cdf(x)
+            }
+        }
+        fn quantile(&self, p: f64) -> f64 {
+            self.0.quantile(p)
+        }
+        fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
+            self.0.partial_moment(k, a, b)
+        }
+    }
+
+    #[test]
+    fn sita_tails_report_nan_for_a_band_with_nan_mass() {
+        let d = NanAtInfinity(Exponential::new(1.0).unwrap());
+        assert!(d.prob_in(1.0, f64::INFINITY).is_nan());
+        let lambda = 1.4;
+        let cutoffs = [1.0];
+        for s in [1.0, 2.0] {
+            let tail = sita_slowdown_ccdf(&d, lambda, &cutoffs, s);
+            assert!(tail.is_nan(), "P(S > {s}) = {tail}");
+        }
+        let tail = sita_waiting_ccdf(&d, lambda, &cutoffs, 0.5);
+        assert!(tail.is_nan(), "P(W > 0.5) = {tail}");
+        let p99 = sita_slowdown_quantile(&d, lambda, &cutoffs, 0.99);
+        assert!(p99.is_nan(), "p99 = {p99}");
     }
 
     #[test]
