@@ -8,6 +8,9 @@ cargo build --release
 # The benchmark is a package of its own outside the workspace; building
 # it here makes a crates/* API change that breaks it fail CI.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Its tests replay each workload at tiny scale; the `replicate` replay
+# asserts every fused lane equals its solo run bit for bit.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 

@@ -24,17 +24,12 @@
 //! 6. **SIMD kernels** — vectorized static/work-left loops and fused
 //!    replication lanes vs the scalar specialized loop. Written to
 //!    `BENCH_simd.json`.
-//! 7. **Segmented kernels** — the two-phase segmented static split
-//!    (choose → partition → per-host Lindley chains → replay) vs the
-//!    direct vector kernel, the scalar loop, and the fused-segmented
-//!    pass, with record-level identity and zero-alloc gates on the
-//!    segmented paths. Written to `BENCH_segmented.json`.
-//! 8. **Collector tiers** — the metrics contract's demand tiers: the
+//! 7. **Collector tiers** — the metrics contract's demand tiers: the
 //!    full record path vs the MEANS-slimmed path vs the block-batched
 //!    merge, with full-demand record identity, MEANS-tier bit identity
 //!    on every demanded field, batched ulp bounds, and zero-alloc gates.
 //!    Written to `BENCH_metrics.json`.
-//! 9. **Lint tiers** — the four-tier `dses-lint` static gate `ci.sh`
+//! 8. **Lint tiers** — the four-tier `dses-lint` static gate `ci.sh`
 //!    runs on every build, timed per tier configuration on the shipped
 //!    tree, with a cleanliness gate in both modes. Written to
 //!    `BENCH_lint.json`.
@@ -58,9 +53,8 @@ use dses_queueing::cutoff::{
 use dses_sim::metrics::JobRecord;
 use dses_sim::{
     available_workers, par_map_indexed, par_map_indexed_scoped, simulate_dispatch,
-    simulate_dispatch_fused_into, simulate_dispatch_fused_mode_into, simulate_dispatch_into,
-    simulate_dispatch_segmented_into, simulate_dispatch_unsegmented_into, Demand, MetricsConfig,
-    SegmentedMode, SimResult, SimWorkspace, StateNeeds, SystemState,
+    simulate_dispatch_fused_into, simulate_dispatch_into, Demand, MetricsConfig, SimResult,
+    SimWorkspace, StateNeeds, SystemState,
 };
 use dses_workload::{Job, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -702,314 +696,6 @@ fn simd_bench(smoke: bool) -> Vec<SimdRow> {
     rows
 }
 
-struct SegRow {
-    policy: &'static str,
-    hosts: usize,
-    scalar_jps: f64,
-    direct_jps: f64,
-    segmented_jps: f64,
-    fused_direct_jps: f64,
-    fused_seg_jps: f64,
-    identical: bool,
-    segmented_allocs: usize,
-    fused_allocs: usize,
-}
-
-/// Section 7: the two-phase segmented static kernels against the scalar
-/// (opaque-kernel) loop and the direct vector kernel, solo and fused —
-/// per static policy, across host counts, with both fused baselines
-/// pinned (`Never` = lockstep fused loop, `Force` = segmented lanes) so
-/// the Auto heuristic's choice is auditable. Identity is checked at
-/// record level three ways (segmented vs direct vs full-state) and per
-/// fused lane against its solo segmented run; both segmented paths must
-/// pass the warmed zero-allocation gate. The h = 1024 SITA-E row is the
-/// §11 cliff: `sita_pick` plus the segmented option are what turned it
-/// from 0.28x scalar into a win.
-fn segmented_bench(smoke: bool) -> Vec<SegRow> {
-    let preset = dses_workload::psc_c90();
-    let jobs = if smoke { 4_000 } else { 400_000 };
-    let id_jobs = if smoke { 4_000 } else { 50_000 };
-    let reps = if smoke { 1 } else { 5 };
-    let count_runs = if smoke { 2 } else { 5 };
-    println!(
-        "segmented kernels: scalar vs direct vector vs segmented vs fused-segmented x{SIMD_LANES}, {jobs} jobs, C90 at rho=0.7"
-    );
-
-    let mut rows = Vec::new();
-    for &hosts in &[8usize, 64, 1024] {
-        let trace = preset.trace(jobs, 0.7, hosts, 2001);
-        let id_trace = preset.trace(id_jobs, 0.7, hosts, 2002);
-        let cutoffs = sita_e_cutoffs(&preset.size_dist, hosts).expect("SITA-E cutoffs");
-        type Builder<'a> = Box<dyn Fn() -> Box<dyn Dispatcher> + 'a>;
-        let builders: Vec<(&'static str, Builder<'_>)> = vec![
-            ("Random", Box::new(|| Box::new(RandomPolicy))),
-            ("Round-Robin", Box::new(|| Box::new(RoundRobin::default()))),
-            (
-                "SITA-E",
-                Box::new(|| Box::new(SizeInterval::new(cutoffs.clone(), "SITA-E"))),
-            ),
-        ];
-        for (name, build) in &builders {
-            // --- timings, all vectorized paths through one shared warmed
-            // workspace (the workspace is exactly what production sweeps
-            // reuse across engines) ---
-            let cfg = MetricsConfig::streaming();
-            let mut ws = SimWorkspace::new();
-            let mut out = SimResult::empty();
-
-            let mut scal = ForceOpaque(build());
-            let scal_secs =
-                best_of(reps, || simulate_dispatch(&trace, hosts, &mut scal, 7, cfg));
-
-            let mut direct = build();
-            simulate_dispatch_unsegmented_into(
-                &trace,
-                hosts,
-                direct.as_mut(),
-                7,
-                cfg,
-                &mut ws,
-                &mut out,
-            );
-            let direct_secs = best_of(reps, || {
-                simulate_dispatch_unsegmented_into(
-                    &trace,
-                    hosts,
-                    direct.as_mut(),
-                    7,
-                    cfg,
-                    &mut ws,
-                    &mut out,
-                );
-                out.measured
-            });
-
-            let mut seg = build();
-            simulate_dispatch_segmented_into(
-                &trace,
-                hosts,
-                seg.as_mut(),
-                7,
-                cfg,
-                &mut ws,
-                &mut out,
-            );
-            let seg_secs = best_of(reps, || {
-                simulate_dispatch_segmented_into(
-                    &trace,
-                    hosts,
-                    seg.as_mut(),
-                    7,
-                    cfg,
-                    &mut ws,
-                    &mut out,
-                );
-                out.measured
-            });
-
-            let traces = vec![&trace; SIMD_LANES];
-            let seeds: Vec<u64> = (0..SIMD_LANES as u64).collect();
-            let cfgs = vec![cfg; SIMD_LANES];
-            let mut policies: Vec<Box<dyn Dispatcher>> =
-                (0..SIMD_LANES).map(|_| build()).collect();
-            let mut fouts: Vec<SimResult> = Vec::new();
-            simulate_dispatch_fused_mode_into(
-                &traces,
-                hosts,
-                &mut policies,
-                &seeds,
-                &cfgs,
-                SegmentedMode::Force,
-                &mut ws,
-                &mut fouts,
-            );
-            let fused_secs = best_of(reps, || {
-                simulate_dispatch_fused_mode_into(
-                    &traces,
-                    hosts,
-                    &mut policies,
-                    &seeds,
-                    &cfgs,
-                    SegmentedMode::Force,
-                    &mut ws,
-                    &mut fouts,
-                );
-                fouts[0].measured
-            });
-            simulate_dispatch_fused_mode_into(
-                &traces,
-                hosts,
-                &mut policies,
-                &seeds,
-                &cfgs,
-                SegmentedMode::Never,
-                &mut ws,
-                &mut fouts,
-            );
-            let fused_direct_secs = best_of(reps, || {
-                simulate_dispatch_fused_mode_into(
-                    &traces,
-                    hosts,
-                    &mut policies,
-                    &seeds,
-                    &cfgs,
-                    SegmentedMode::Never,
-                    &mut ws,
-                    &mut fouts,
-                );
-                fouts[0].measured
-            });
-
-            // --- record-level identity: segmented vs direct vs full-state ---
-            let full = MetricsConfig::full_records();
-            let mut a = SimResult::empty();
-            simulate_dispatch_segmented_into(
-                &id_trace,
-                hosts,
-                build().as_mut(),
-                7,
-                full,
-                &mut ws,
-                &mut a,
-            );
-            let mut b = SimResult::empty();
-            simulate_dispatch_unsegmented_into(
-                &id_trace,
-                hosts,
-                build().as_mut(),
-                7,
-                full,
-                &mut ws,
-                &mut b,
-            );
-            let c = simulate_dispatch(&id_trace, hosts, &mut ForceFull(build()), 7, full);
-            let mut identical = records_bitwise_equal(
-                a.records.as_deref().unwrap(),
-                b.records.as_deref().unwrap(),
-            ) && records_bitwise_equal(
-                a.records.as_deref().unwrap(),
-                c.records.as_deref().unwrap(),
-            );
-
-            // --- fused-segmented identity: every lane equals its solo
-            // segmented run ---
-            let id_traces = vec![&id_trace; SIMD_LANES];
-            let id_cfgs = vec![full; SIMD_LANES];
-            let mut id_policies: Vec<Box<dyn Dispatcher>> =
-                (0..SIMD_LANES).map(|_| build()).collect();
-            let mut id_outs: Vec<SimResult> = Vec::new();
-            simulate_dispatch_fused_mode_into(
-                &id_traces,
-                hosts,
-                &mut id_policies,
-                &seeds,
-                &id_cfgs,
-                SegmentedMode::Force,
-                &mut ws,
-                &mut id_outs,
-            );
-            let mut solo = SimResult::empty();
-            for (r, fused_out) in id_outs.iter().enumerate() {
-                simulate_dispatch_segmented_into(
-                    &id_trace,
-                    hosts,
-                    build().as_mut(),
-                    seeds[r],
-                    full,
-                    &mut ws,
-                    &mut solo,
-                );
-                identical = identical
-                    && records_bitwise_equal(
-                        fused_out.records.as_deref().unwrap(),
-                        solo.records.as_deref().unwrap(),
-                    );
-            }
-
-            // --- zero-allocation gates on the warmed workspace ---
-            // the workspace last ran the full-records shape; re-warm to
-            // streaming before counting
-            simulate_dispatch_segmented_into(
-                &trace,
-                hosts,
-                seg.as_mut(),
-                7,
-                cfg,
-                &mut ws,
-                &mut out,
-            );
-            let (_, s_allocs) = alloc_count_of(|| {
-                for _ in 0..count_runs {
-                    simulate_dispatch_segmented_into(
-                        &trace,
-                        hosts,
-                        seg.as_mut(),
-                        7,
-                        cfg,
-                        &mut ws,
-                        &mut out,
-                    );
-                }
-            });
-            simulate_dispatch_fused_mode_into(
-                &traces,
-                hosts,
-                &mut policies,
-                &seeds,
-                &cfgs,
-                SegmentedMode::Force,
-                &mut ws,
-                &mut fouts,
-            );
-            let (_, f_allocs) = alloc_count_of(|| {
-                for _ in 0..count_runs {
-                    simulate_dispatch_fused_mode_into(
-                        &traces,
-                        hosts,
-                        &mut policies,
-                        &seeds,
-                        &cfgs,
-                        SegmentedMode::Force,
-                        &mut ws,
-                        &mut fouts,
-                    );
-                }
-            });
-
-            let row = SegRow {
-                policy: name,
-                hosts,
-                scalar_jps: jobs as f64 / scal_secs,
-                direct_jps: jobs as f64 / direct_secs,
-                segmented_jps: jobs as f64 / seg_secs,
-                fused_direct_jps: (SIMD_LANES * jobs) as f64 / fused_direct_secs,
-                fused_seg_jps: (SIMD_LANES * jobs) as f64 / fused_secs,
-                identical,
-                segmented_allocs: s_allocs / count_runs,
-                fused_allocs: f_allocs / count_runs,
-            };
-            println!(
-                "  h={:<5} {:<12} scalar {:>10}/s  direct {:>10}/s  segmented {:>10}/s ({:.2}x direct)  fused x{} {:>10}/s -> seg {:>10}/s ({:.2}x, identical: {}, allocs {}+{})",
-                row.hosts,
-                row.policy,
-                fmt_rate(row.scalar_jps),
-                fmt_rate(row.direct_jps),
-                fmt_rate(row.segmented_jps),
-                row.segmented_jps / row.direct_jps,
-                SIMD_LANES,
-                fmt_rate(row.fused_direct_jps),
-                fmt_rate(row.fused_seg_jps),
-                row.fused_seg_jps / row.fused_direct_jps,
-                row.identical,
-                row.segmented_allocs,
-                row.fused_allocs,
-            );
-            rows.push(row);
-        }
-    }
-    rows
-}
-
 struct MetricsRow {
     policy: &'static str,
     hosts: usize,
@@ -1517,7 +1203,6 @@ fn main() {
     let workspace = workspace_bench(smoke);
     let sq = sq_kernel_bench(smoke);
     let simd = simd_bench(smoke);
-    let segmented = segmented_bench(smoke);
     let metrics = metrics_bench(smoke);
     let scaling = if smoke { Vec::new() } else { thread_scaling_bench(smoke) };
 
@@ -1526,10 +1211,6 @@ fn main() {
     let simd_zero_alloc = simd
         .iter()
         .all(|r| r.vectorized_allocs == 0 && r.fused_allocs == 0);
-    let segmented_identical = segmented.iter().all(|r| r.identical);
-    let segmented_zero_alloc = segmented
-        .iter()
-        .all(|r| r.segmented_allocs == 0 && r.fused_allocs == 0);
     let metrics_identical = metrics.iter().all(|r| r.identical);
     let metrics_ulp_ok = metrics.iter().all(|r| r.ulp_ok);
     let metrics_zero_alloc = metrics
@@ -1547,25 +1228,6 @@ fn main() {
             eprintln!(
                 "ERROR: {} at h={} allocated in steady state (vectorized {}, fused {})",
                 r.policy, r.hosts, r.vectorized_allocs, r.fused_allocs
-            );
-        }
-    }
-    if !segmented_identical {
-        for r in segmented.iter().filter(|r| !r.identical) {
-            eprintln!(
-                "ERROR: segmented {} at h={} diverged from the direct kernel",
-                r.policy, r.hosts
-            );
-        }
-    }
-    if !segmented_zero_alloc {
-        for r in segmented
-            .iter()
-            .filter(|r| r.segmented_allocs != 0 || r.fused_allocs != 0)
-        {
-            eprintln!(
-                "ERROR: segmented {} at h={} allocated in steady state (solo {}, fused {})",
-                r.policy, r.hosts, r.segmented_allocs, r.fused_allocs
             );
         }
     }
@@ -1638,8 +1300,6 @@ fn main() {
         && zero_alloc
         && simd_identical
         && simd_zero_alloc
-        && segmented_identical
-        && segmented_zero_alloc
         && metrics_identical
         && metrics_ulp_ok
         && metrics_zero_alloc;
@@ -1758,57 +1418,6 @@ fn main() {
         std::fs::write("BENCH_simd.json", &json).expect("write BENCH_simd.json");
         println!("wrote BENCH_simd.json");
 
-        let seg_rows: Vec<String> = segmented
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"policy\": \"{}\", \"hosts\": {}, \"scalar_jobs_per_sec\": {:.0}, \"direct_jobs_per_sec\": {:.0}, \"segmented_jobs_per_sec\": {:.0}, \"fused_direct_jobs_per_sec\": {:.0}, \"fused_segmented_jobs_per_sec\": {:.0}, \"segmented_vs_direct\": {:.3}, \"fused_segmented_vs_fused_direct\": {:.3}, \"bit_identical\": {}, \"segmented_allocs_per_run\": {}, \"fused_allocs_per_run\": {}}}",
-                    r.policy,
-                    r.hosts,
-                    r.scalar_jps,
-                    r.direct_jps,
-                    r.segmented_jps,
-                    r.fused_direct_jps,
-                    r.fused_seg_jps,
-                    r.segmented_jps / r.direct_jps,
-                    r.fused_seg_jps / r.fused_direct_jps,
-                    r.identical,
-                    r.segmented_allocs,
-                    r.fused_allocs,
-                )
-            })
-            .collect();
-        let h8_best_static = segmented
-            .iter()
-            .filter(|r| r.hosts == 8)
-            .map(|r| {
-                r.scalar_jps
-                    .max(r.direct_jps)
-                    .max(r.segmented_jps)
-                    .max(r.fused_direct_jps)
-                    .max(r.fused_seg_jps)
-            })
-            .fold(0.0f64, f64::max);
-        let sita_cliff = segmented
-            .iter()
-            .find(|r| r.policy == "SITA-E" && r.hosts == 1024)
-            .map(|r| r.segmented_jps / r.scalar_jps)
-            .unwrap_or(0.0);
-        let json = format!(
-            "{{\n  \"config\": {{\"workload\": \"c90\", \"rho\": 0.7, \"jobs\": 400000, \"seed\": 2001, \"lanes\": {SIMD_LANES}, \"block\": 8192}},\n  \"rows\": [\n{}\n  ],\n  \"best_static_jobs_per_sec_h8\": {:.0},\n  \"sita_e_h1024_segmented_vs_scalar\": {:.3},\n  \"bit_identical\": {segmented_identical},\n  \"zero_alloc\": {segmented_zero_alloc}\n}}\n",
-            seg_rows.join(",\n"),
-            h8_best_static,
-            sita_cliff,
-        );
-        std::fs::write("BENCH_segmented.json", &json).expect("write BENCH_segmented.json");
-        println!("wrote BENCH_segmented.json");
-        if h8_best_static < 100_000_000.0 {
-            println!("WARNING: best static path at h=8 is below the 100M jobs/s target");
-        }
-        if sita_cliff < 1.0 {
-            println!("WARNING: SITA-E h=1024 segmented is below 1.0x scalar");
-        }
-
         let metric_rows: Vec<String> = metrics
             .iter()
             .map(|r| {
@@ -1905,22 +1514,6 @@ fn main() {
             SIMD_LANES,
             fmt_rate(h8_static.fused_jps),
             h8_static.fused_jps / h8_static.scalar_jps,
-        );
-        let seg_h8 = segmented
-            .iter()
-            .filter(|r| r.hosts == 8)
-            .max_by(|a, b| {
-                (a.fused_seg_jps / a.fused_direct_jps)
-                    .total_cmp(&(b.fused_seg_jps / b.fused_direct_jps))
-            })
-            .expect("segmented rows");
-        println!(
-            "  segmented (h=8)     {} fused-direct {}/s -> fused-seg {}/s ({:.2}x); SITA-E h=1024 seg {:.2}x scalar",
-            seg_h8.policy,
-            fmt_rate(seg_h8.fused_direct_jps),
-            fmt_rate(seg_h8.fused_seg_jps),
-            seg_h8.fused_seg_jps / seg_h8.fused_direct_jps,
-            sita_cliff,
         );
         let met_h8 = metrics
             .iter()

@@ -210,9 +210,9 @@ fn copy_tree(from: &Path, to: &Path) {
 }
 
 /// Mutation-style check of the property `ci.sh` gates on: copy the real
-/// workspace aside, reassociate exactly one `+` in the marched-chain
-/// Lindley update, and the mirror tier must flag the copy against the
-/// event-engine reference.
+/// workspace aside, reassociate exactly one `+` in the direct static
+/// kernel's Lindley update, and the mirror tier must flag the copy
+/// against the rest of group `lindley`.
 #[test]
 fn planted_reassociation_in_the_real_kernel_fails_the_mirror_tier() {
     let real = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -230,16 +230,27 @@ fn planted_reassociation_in_the_real_kernel_fails_the_mirror_tier() {
 
     let fast = dir.join("crates/sim/src/fast.rs");
     let src = std::fs::read_to_string(&fast).expect("read fast.rs");
-    let before = "let completion = start + speeds.service(ch.host, ch.sizes[i]);";
-    let after = "let completion = speeds.service(ch.host, ch.sizes[i]) + start;";
-    assert_eq!(src.matches(before).count(), 1, "mutation anchor moved — update this test");
-    std::fs::write(&fast, src.replacen(before, after, 1)).expect("write mutation");
+    // the fused kernel shares this line, so mutate only its first
+    // occurrence inside `run_static_kernel`
+    let kernel = "fn run_static_kernel<";
+    let before = "let completion = start + speeds.service(target, size);";
+    let after = "let completion = speeds.service(target, size) + start;";
+    assert_eq!(
+        src.matches(kernel).count(),
+        1,
+        "mutation anchor moved — update this test"
+    );
+    let at = src.find(kernel).expect("kernel present");
+    let body = &src[at..at + src[at..].find("\n}\n").expect("kernel body ends")];
+    let line = at + body.find(before).expect("mutation anchor moved — update this test");
+    let mutated = format!("{}{after}{}", &src[..line], &src[line + before.len()..]);
+    std::fs::write(&fast, mutated).expect("write mutation");
 
     let cfg = dses_lint::driver::load_config(&dir).expect("lint.toml parses");
     let report = dses_lint::driver::lint_workspace(&dir, &cfg, false, false, true)
         .expect("workspace walk");
     let hit = report.findings.iter().find(|f| {
-        !f.waived && f.rule == "mirror-divergence" && f.message.contains("march_chains")
+        !f.waived && f.rule == "mirror-divergence" && f.message.contains("run_static_kernel")
     });
     assert!(
         hit.is_some(),

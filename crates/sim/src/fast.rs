@@ -208,8 +208,8 @@ const SITA_LINEAR_MAX: usize = 16;
 /// the branches while the cmov chain always pays its full serial
 /// ⌈log₂ h⌉ × load-to-select latency. Measurement wins: wide goes to
 /// `partition_point`. Ties land left either way: `size == cuts[k]`
-/// fails `size > cuts[k]` (pinned in the tie-dense unit test below and
-/// in `tests/segmented.rs`).
+/// fails `size > cuts[k]` (pinned in the tie-dense unit test below and,
+/// against the event engine, in `tests/kernels.rs`).
 // dses-lint: divides(0)
 // dses-lint: deny(alloc)
 #[inline]
@@ -219,326 +219,6 @@ pub(crate) fn sita_pick(cuts: &[f64], size: f64) -> usize {
         return cuts.iter().map(|&c| usize::from(size > c)).sum();
     }
     cuts.partition_point(|&c| size > c)
-}
-
-/// Jobs per segmented block: bounds the phase-1/phase-2 scratch to a
-/// cache-resident working set (24 B per job per lane across
-/// `chosen`/`seg_idx`/`seg_starts`/`seg_departs`) while keeping per-host
-/// segments long enough to amortize the per-block counting sort.
-const SEG_BLOCK: usize = 8192;
-
-/// Independent Lindley chains kept in flight in segmented phase 2. Each
-/// chain is a serial `max`+`add` dependency; interleaving four gives the
-/// out-of-order core four accumulators to overlap, the same device the
-/// fused kernel gets from replication lanes.
-const SEG_CHAINS: usize = 4;
-
-/// Trace length below which the segmented split costs more than the
-/// serial chain it breaks (three extra passes over the block scratch).
-const SEGMENTED_MIN_JOBS: usize = 4096;
-
-/// Which path the engine takes for closed-form static kernels
-/// (Random / Round-Robin / SITA): the direct loop of
-/// [`run_static_kernel`] or the two-phase segmented split of
-/// [`run_segmented_core`]. Both produce bit-identical results; this is
-/// purely a throughput choice, so the plain entry points use [`Auto`]
-/// and the pinned modes exist for gating and honest benchmarking.
-///
-/// [`Auto`]: SegmentedMode::Auto
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SegmentedMode {
-    /// Segment when the measured heuristic ([`segmented_pays`]) says it
-    /// pays: fused replication lanes on traces long enough to amortize
-    /// the block passes, with few hosts or skewed (SITA) routing.
-    /// Policies without a closed-form static kernel always take their
-    /// existing loops.
-    #[default]
-    Auto,
-    /// Always segment where a closed-form static kernel exists (the
-    /// bit-identity gates run here); other policies fall back.
-    Force,
-    /// Never segment — the direct kernels regardless of trace size, the
-    /// baseline `perf_report` measures the segmented path against.
-    Never,
-}
-
-/// Fused host-count bound up to which the segmented split beats the
-/// lockstep fused loop for *uniform* choosers (Random / Round-Robin):
-/// past it the per-block segment bookkeeping outgrows what shorter
-/// per-host chains save.
-const SEG_FUSED_MAX_HOSTS: usize = 16;
-
-/// The [`SegmentedMode::Auto`] heuristic, set by measurement (DESIGN.md
-/// §12.5), with `skewed` marking size-interval choosers whose routing
-/// concentrates consecutive jobs on few hosts:
-///
-/// * **Solo runs never segment.** On identical hosts the direct loop's
-///   per-host chains already interleave naturally (consecutive jobs
-///   rarely share a host), and the record path — not the Lindley
-///   recursion — is the throughput wall, so the block passes are pure
-///   overhead.
-/// * **Fused lanes segment** when the trace amortizes the block passes
-///   and hosts are few (every chooser) or routing is skewed (SITA —
-///   the one case whose direct chains genuinely serialize): the
-///   lockstep fused loop pays register pressure per job that the
-///   phase split avoids.
-///
-/// Both paths are bit-identical, so this is purely a throughput choice;
-/// the pinned modes serve the gates and benchmark baselines.
-#[inline]
-fn segmented_pays(n: usize, lanes: usize, hosts: usize, skewed: bool) -> bool {
-    lanes > 1
-        && n >= SEGMENTED_MIN_JOBS
-        && hosts * 4 <= SEG_BLOCK.min(n)
-        && (skewed || hosts <= SEG_FUSED_MAX_HOSTS)
-}
-
-/// Mutable views over the workspace's segmented scratch
-/// ([`crate::workspace::SimWorkspace::reset_segmented`] shapes the
-/// backing buffers; all lane-major with block stride `b`).
-struct SegScratch<'a> {
-    /// Phase-1 host choices: `chosen[r*b + j]`.
-    chosen: &'a mut [u32],
-    /// Per-lane counting-sort boundaries, `hosts + 1` entries per lane.
-    offsets: &'a mut [u32],
-    /// Block-local job indices partitioned by host.
-    idx: &'a mut [u32],
-    /// Phase-2 service starts by block-local job index.
-    starts: &'a mut [f64],
-    /// Phase-2 departures by block-local job index.
-    departs: &'a mut [f64],
-}
-
-/// One in-flight Lindley chain of segmented phase 2: a (lane, host)
-/// segment with its carried `free` time and the lane's hoisted SoA
-/// views, so the march loop touches no accessor calls.
-struct Chain<'a> {
-    /// Remaining block-local job indices of this segment, arrival order.
-    seg: &'a [u32],
-    /// The owning lane's full arrival SoA.
-    arrivals: &'a [f64],
-    /// The owning lane's full size SoA.
-    sizes: &'a [f64],
-    /// `r * b` — the lane's offset into the starts/departs scratch.
-    sd_base: usize,
-    /// Host index within the lane (drives the speed model).
-    host: usize,
-    /// `r * hosts + host` — where the carried free time writes back.
-    slot: usize,
-    /// The chain value: this host's next-free time.
-    free: f64,
-}
-
-const EMPTY_CHAIN: Chain<'static> = Chain {
-    seg: &[],
-    arrivals: &[],
-    sizes: &[],
-    sd_base: 0,
-    host: 0,
-    slot: 0,
-    free: 0.0,
-};
-
-/// Advance the first `G` chains in lockstep by the length of the
-/// shortest among them. `G` is const so the step body fully unrolls
-/// into `G` independent `max`/`add` chains with no per-step branches;
-/// the caller re-compacts and re-dispatches when a segment runs dry.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley)
-// dses-lint: hoist(service)
-#[inline(always)]
-fn march_chains<'a, const G: usize, S: SpeedModel>(
-    chains: &mut [Chain<'a>; SEG_CHAINS],
-    speeds: &S,
-    block_base: usize,
-    starts: &mut [f64],
-    departs: &mut [f64],
-) {
-    let mut m = usize::MAX;
-    for ch in chains.iter().take(G) {
-        m = m.min(ch.seg.len());
-    }
-    for step in 0..m {
-        for ch in chains.iter_mut().take(G) {
-            let j = ch.seg[step] as usize;
-            let i = block_base + j;
-            let start = ch.arrivals[i].max(ch.free);
-            let completion = start + speeds.service(ch.host, ch.sizes[i]);
-            ch.free = completion;
-            starts[ch.sd_base + j] = start;
-            departs[ch.sd_base + j] = completion;
-        }
-    }
-    for ch in chains.iter_mut().take(G) {
-        ch.seg = &ch.seg[m..];
-    }
-}
-
-/// The two-phase segmented static kernel — the engine's answer to the
-/// serial Lindley chain (DESIGN.md §12).
-///
-/// A static policy's host choice is independent of host state, so the
-/// whole job→host assignment is known *before* any Lindley update runs.
-/// The kernel exploits that in blocks of [`SEG_BLOCK`] jobs:
-///
-/// 1. **choose** — every block job's host is computed up front into
-///    `chosen`, per lane in job order (RNG draws and kernel cursors
-///    advance in exactly the order the direct kernel would use, so the
-///    streams stay aligned) with no `free_at` in sight;
-/// 2. **partition + sweep** — a stable counting sort groups block-local
-///    job indices by host, then each (lane, host) segment runs its own
-///    prefix-max chain `start = max(arrival, free); free = start +
-///    service`, [`SEG_CHAINS`] segments interleaved so the core
-///    overlaps their dependency chains. `free_at` carries across
-///    blocks, so each host sees exactly the arithmetic sequence the
-///    direct kernel gave it — bit-identical starts and departures land
-///    in per-job slots;
-/// 3. **replay** — metrics are recorded in arrival order from the
-///    per-job slots: the collector consumes bit-identical values in
-///    bit-identical order to the direct kernel.
-///
-/// Lanes generalize exactly as in [`run_fused_static`]: lane `r` reads
-/// `traces[r]`, draws from `rngs[r]`, owns the bank
-/// `free_at[r*h..(r+1)*h]` and records into `collectors[r]`. The solo
-/// kernel is the 1-lane case.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-fn run_segmented_core<S, F>(
-    traces: &[&Trace],
-    speeds: &S,
-    mut select: F,
-    rngs: &mut [Rng64],
-    free_at: &mut [f64],
-    collectors: &mut [Collector],
-    scratch: SegScratch<'_>,
-) where
-    S: SpeedModel,
-    F: FnMut(usize, f64, &mut Rng64) -> usize,
-{
-    let lanes = traces.len();
-    let hosts = speeds.hosts();
-    let n = traces[0].len();
-    let SegScratch { chosen, offsets, idx, starts, departs } = scratch;
-    let mut block_base = 0usize;
-    while block_base < n {
-        let b = (n - block_base).min(SEG_BLOCK);
-        // Phase 1: batch host choices, counting segment sizes in the
-        // same pass — the only phase that touches the RNG or kernel
-        // cursors, advancing them in job order per lane.
-        for r in 0..lanes {
-            let sizes = &traces[r].sizes()[block_base..block_base + b];
-            let rng = &mut rngs[r];
-            let off = &mut offsets[r * (hosts + 1)..(r + 1) * (hosts + 1)];
-            off.fill(0);
-            for (j, slot) in chosen[r * b..(r + 1) * b].iter_mut().enumerate() {
-                let target = select(r, sizes[j], rng);
-                debug_assert!(target < hosts, "kernel selected host {target} of {hosts}");
-                *slot = target as u32;
-                off[target + 1] += 1;
-            }
-            // Phase 2a: stable counting sort of block-local job indices
-            // by chosen host. The inclusive prefix sum makes `off[c]`
-            // the start of segment c; the scatter advances it to the
-            // segment's end, so afterwards segment c is
-            // `idx[off[c−1]..off[c]]` (with `off[−1]` read as 0).
-            let mut acc = 0u32;
-            for o in off.iter_mut() {
-                acc += *o;
-                *o = acc;
-            }
-            let lane_chosen = &chosen[r * b..(r + 1) * b];
-            let lane_idx = &mut idx[r * b..(r + 1) * b];
-            for (j, &c) in lane_chosen.iter().enumerate() {
-                let slot = off[c as usize];
-                lane_idx[slot as usize] = j as u32;
-                off[c as usize] = slot + 1;
-            }
-        }
-        // Phase 2b: one prefix-max chain per (lane, host) segment,
-        // SEG_CHAINS of them in flight. Segments list jobs in arrival
-        // order (the sort is stable) and `free_at` carries each chain
-        // across blocks, so every host replays the direct kernel's
-        // exact arithmetic sequence — only the evaluation order across
-        // *different* hosts changes, and no value flows between hosts.
-        // The group marches in lockstep for the length of its shortest
-        // live segment ([`march_chains`] — no per-step branches), then
-        // compacts exhausted chains away and re-dispatches narrower.
-        let idx_ro: &[u32] = idx;
-        let total = lanes * hosts;
-        let mut k = 0usize;
-        while k < total {
-            let g = (total - k).min(SEG_CHAINS);
-            let mut chains = [EMPTY_CHAIN; SEG_CHAINS];
-            for (t, chain) in chains.iter_mut().take(g).enumerate() {
-                // dses-lint: allow(divide-budget) -- usize lane-index decomposition; integer, once per chain group per compaction round, not per job
-                let r = (k + t) / hosts;
-                // dses-lint: allow(divide-budget) -- usize lane-index decomposition; integer, once per chain group per compaction round, not per job
-                let c = (k + t) % hosts;
-                let off = &offsets[r * (hosts + 1)..(r + 1) * (hosts + 1)];
-                let lo = if c == 0 { 0 } else { off[c - 1] as usize };
-                let hi = off[c] as usize;
-                *chain = Chain {
-                    seg: &idx_ro[r * b + lo..r * b + hi],
-                    // dses-lint: allow(no-alloc-transitive) -- Trace::arrivals borrows; the allocating name-match is WorkloadBuilder::arrivals
-                    arrivals: traces[r].arrivals(),
-                    sizes: traces[r].sizes(),
-                    sd_base: r * b,
-                    host: c,
-                    slot: r * hosts + c,
-                    free: free_at[r * hosts + c],
-                };
-            }
-            let mut live = g;
-            loop {
-                let mut w = 0;
-                for t in 0..live {
-                    if !chains[t].seg.is_empty() {
-                        chains.swap(w, t);
-                        w += 1;
-                    }
-                }
-                live = w;
-                match live {
-                    0 => break,
-                    1 => march_chains::<1, S>(&mut chains, speeds, block_base, starts, departs),
-                    2 => march_chains::<2, S>(&mut chains, speeds, block_base, starts, departs),
-                    3 => march_chains::<3, S>(&mut chains, speeds, block_base, starts, departs),
-                    _ => march_chains::<4, S>(&mut chains, speeds, block_base, starts, departs),
-                }
-            }
-            for chain in chains.iter().take(g) {
-                free_at[chain.slot] = chain.free;
-            }
-            k += g;
-        }
-        // Phase 3: metrics replay from the per-job slots, lane-outer so
-        // every SoA view hoists. Each collector is per-lane state, so
-        // feeding it this block's records in arrival order reproduces
-        // the direct kernel's accumulator updates bit for bit. The
-        // whole block goes over as contiguous SoA lanes — on the
-        // batched collector tier that path stages by `copy_from_slice`
-        // instead of one `JobRecord` at a time.
-        for (r, &trace) in traces.iter().enumerate() {
-            let jobs = &trace.jobs()[block_base..block_base + b];
-            let arrivals = &trace.arrivals()[block_base..block_base + b];
-            let sizes = &trace.sizes()[block_base..block_base + b];
-            let inv_sizes = &trace.inv_sizes()[block_base..block_base + b];
-            let lane_starts = &starts[r * b..(r + 1) * b];
-            let lane_departs = &departs[r * b..(r + 1) * b];
-            let lane_chosen = &chosen[r * b..(r + 1) * b];
-            collectors[r].record_block_with_inv(
-                jobs,
-                arrivals,
-                sizes,
-                inv_sizes,
-                lane_starts,
-                lane_departs,
-                lane_chosen,
-            );
-        }
-        block_base += b;
-    }
 }
 
 /// Simulate `trace` on `hosts` identical FCFS hosts under `policy`.
@@ -580,16 +260,7 @@ pub fn simulate_dispatch<P: Dispatcher + ?Sized>(
 ) -> SimResult {
     with_thread_workspace(|ws| {
         let mut out = SimResult::empty();
-        run_specialized(
-            trace,
-            &UnitSpeeds(hosts),
-            policy,
-            seed,
-            cfg,
-            SegmentedMode::Auto,
-            ws,
-            &mut out,
-        );
+        run_specialized(trace, &UnitSpeeds(hosts), policy, seed, cfg, ws, &mut out);
         out
     })
 }
@@ -609,90 +280,7 @@ pub fn simulate_dispatch_into<P: Dispatcher + ?Sized>(
     ws: &mut SimWorkspace,
     out: &mut SimResult,
 ) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch`] with the segmented static kernel pinned on
-/// ([`SegmentedMode::Force`]): closed-form static policies (Random,
-/// Round-Robin, SITA-*) take the two-phase [`run_segmented_core`] path
-/// regardless of trace size; every other policy falls back to the same
-/// loops [`simulate_dispatch`] uses. Results are **bit-identical** to
-/// [`simulate_dispatch`] in every case — `tests/segmented.rs` gates
-/// this record for record — so the entry point exists for that gate and
-/// for benchmarking, not because it computes anything different.
-#[must_use]
-pub fn simulate_dispatch_segmented<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-) -> SimResult {
-    with_thread_workspace(|ws| {
-        let mut out = SimResult::empty();
-        simulate_dispatch_segmented_into(trace, hosts, policy, seed, cfg, ws, &mut out);
-        out
-    })
-}
-
-/// [`simulate_dispatch_segmented`] through caller-owned buffers; see
-/// [`simulate_dispatch_into`].
-// dses-lint: deny(alloc)
-pub fn simulate_dispatch_segmented_into<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-    ws: &mut SimWorkspace,
-    out: &mut SimResult,
-) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Force,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch_into`] with the segmented kernel pinned **off**
-/// ([`SegmentedMode::Never`]): the direct single-pass kernels whatever
-/// the trace size. This is the honest baseline `perf_report` measures
-/// the segmented path against — the plain entry points would silently
-/// re-enable segmentation on exactly the sizes worth benchmarking.
-// dses-lint: deny(alloc)
-pub fn simulate_dispatch_unsegmented_into<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-    ws: &mut SimWorkspace,
-    out: &mut SimResult,
-) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Never,
-        ws,
-        out,
-    );
+    run_specialized(trace, &UnitSpeeds(hosts), policy, seed, cfg, ws, out);
 }
 
 /// Simulate `trace` on **heterogeneous** FCFS hosts: `speeds[i]` is host
@@ -735,16 +323,7 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
         speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
         "host speeds must be positive and finite"
     );
-    run_specialized(
-        trace,
-        &PerHostSpeeds(speeds),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
+    run_specialized(trace, &PerHostSpeeds(speeds), policy, seed, cfg, ws, out);
 }
 
 /// Dispatch to the hot loop matching the policy's declared state needs.
@@ -756,14 +335,12 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
 /// bookkeeping is maintained between dispatches.
 // dses-lint: divides(1)
 // dses-lint: deny(alloc)
-#[allow(clippy::too_many_arguments)]
 fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     trace: &Trace,
     speeds: &S,
     policy: &mut P,
     seed: u64,
     cfg: MetricsConfig,
-    mode: SegmentedMode,
     ws: &mut SimWorkspace,
     out: &mut SimResult,
 ) {
@@ -800,24 +377,6 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         _ => Selected::Generic,
     };
 
-    // Segmented vs. direct for the closed-form static kernels: a pure
-    // throughput choice (both paths are bit-identical), so Auto takes
-    // the split only where it pays and the pinned modes serve the gates
-    // and the benchmark baselines.
-    let seg_run = matches!(
-        selected,
-        Selected::Random | Selected::RoundRobin | Selected::Sita
-    ) && match mode {
-        SegmentedMode::Force => true,
-        SegmentedMode::Never => false,
-        SegmentedMode::Auto => {
-            segmented_pays(trace.len(), 1, hosts, matches!(selected, Selected::Sita))
-        }
-    };
-    if seg_run {
-        ws.reset_segmented(1, hosts, SEG_BLOCK.min(trace.len().max(1)));
-    }
-
     let jobs = trace.jobs();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
@@ -830,44 +389,20 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         heaps,
         collector,
         kernel_cutoffs,
-        chosen,
-        seg_offsets,
-        seg_idx,
-        seg_starts,
-        seg_departs,
         ..
     } = ws;
 
     match selected {
         Selected::Random => {
-            if seg_run {
-                // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, _, rng: &mut Rng64| rng.below(hosts as u64) as usize,
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |_, rng| rng.below(hosts as u64) as usize,
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            // dses-lint: allow(divide-budget) -- match arms are mutually exclusive per run; each kernel performs at most one service divide per job
+            run_static_kernel(
+                trace,
+                speeds,
+                |_, rng| rng.below(hosts as u64) as usize,
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
@@ -875,40 +410,18 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // engine-owned cursor: `next % hosts` under the invariant
             // `next < hosts`, exactly the policy's arithmetic
             let mut next = 0usize;
-            if seg_run {
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, _, _: &mut Rng64| {
-                        let t = next;
-                        next = if t + 1 == hosts { 0 } else { t + 1 };
-                        t
-                    },
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |_, _| {
-                        let t = next;
-                        next = if t + 1 == hosts { 0 } else { t + 1 };
-                        t
-                    },
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            run_static_kernel(
+                trace,
+                speeds,
+                |_, _| {
+                    let t = next;
+                    next = if t + 1 == hosts { 0 } else { t + 1 };
+                    t
+                },
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
@@ -916,37 +429,19 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // `sita_pick` ≡ `partition_point(|c| size > c)` on strictly
             // increasing cutoffs ({c : size > c} is a prefix)
             let cuts = kernel_cutoffs.as_slice();
-            if seg_run {
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, size, _: &mut Rng64| sita_pick(cuts, size),
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |size, _| sita_pick(cuts, size),
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            run_static_kernel(
+                trace,
+                speeds,
+                |size, _| sita_pick(cuts, size),
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
         Selected::WorkLeft => {
-            // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
+            // dses-lint: allow(divide-budget) -- match arms are mutually exclusive per run; each kernel performs at most one service divide per job
             run_work_left_kernel(trace, speeds, free_at, collector);
             collector.finish_into(out);
             return;
@@ -1346,40 +841,6 @@ pub fn simulate_dispatch_fused_into<P: Dispatcher>(
     ws: &mut SimWorkspace,
     out: &mut Vec<SimResult>,
 ) {
-    simulate_dispatch_fused_mode_into(
-        traces,
-        hosts,
-        policies,
-        seeds,
-        cfgs,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch_fused_into`] with the static-kernel path pinned
-/// by `mode`: fused static lanes share the segmented phase-1 buffers
-/// and run per-lane segments through [`run_segmented_core`], or stay on
-/// the direct lockstep loop under [`SegmentedMode::Never`]. Lane
-/// results are bit-identical either way (and to solo runs); the
-/// explicit modes exist for the gates in `tests/segmented.rs` and the
-/// baselines in `perf_report`.
-///
-/// # Panics
-/// As [`simulate_dispatch_fused_into`].
-// dses-lint: deny(alloc)
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_dispatch_fused_mode_into<P: Dispatcher>(
-    traces: &[&Trace],
-    hosts: usize,
-    policies: &mut [P],
-    seeds: &[u64],
-    cfgs: &[MetricsConfig],
-    mode: SegmentedMode,
-    ws: &mut SimWorkspace,
-    out: &mut Vec<SimResult>,
-) {
     let lanes = traces.len();
     assert_eq!(policies.len(), lanes, "one policy per lane");
     assert_eq!(seeds.len(), lanes, "one seed per lane");
@@ -1437,31 +898,12 @@ pub fn simulate_dispatch_fused_mode_into<P: Dispatcher>(
                 &mut policies[r],
                 seeds[r],
                 cfgs[r],
-                mode,
                 ws,
                 &mut out[r],
             );
         }
         return;
     };
-
-    // Fused static lanes compose with the segmented split — and are
-    // where Auto actually takes it (the lockstep fused loop is the one
-    // direct kernel the split beats; see segmented_pays) — with the
-    // lanes sharing one flat set of phase buffers.
-    let seg_run = matches!(
-        kind,
-        FusedKind::Random | FusedKind::RoundRobin | FusedKind::Sita
-    ) && match mode {
-        SegmentedMode::Force => true,
-        SegmentedMode::Never => false,
-        SegmentedMode::Auto => {
-            segmented_pays(n, lanes, hosts, matches!(kind, FusedKind::Sita))
-        }
-    };
-    if seg_run {
-        ws.reset_segmented(lanes, hosts, SEG_BLOCK.min(n.max(1)));
-    }
 
     // Per-lane engine state: reset() for parity with the solo path, then
     // engine-owned banks, RNG streams, cursors, and cutoff copies.
@@ -1485,90 +927,43 @@ pub fn simulate_dispatch_fused_mode_into<P: Dispatcher>(
         lane_rngs,
         lane_counters,
         lane_cutoffs,
-        chosen,
-        seg_offsets,
-        seg_idx,
-        seg_starts,
-        seg_departs,
         ..
     } = ws;
     let collectors = &mut lane_collectors[..lanes];
     let speeds = UnitSpeeds(hosts);
     match kind {
-        FusedKind::Random => {
-            let select = |_, _, rng: &mut Rng64| rng.below(hosts as u64) as usize;
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
-        FusedKind::RoundRobin => {
-            let select = |r: usize, _, _: &mut Rng64| {
+        FusedKind::Random => run_fused_static(
+            traces,
+            &speeds,
+            |_, _, rng: &mut Rng64| rng.below(hosts as u64) as usize,
+            lane_rngs,
+            free_at,
+            collectors,
+        ),
+        FusedKind::RoundRobin => run_fused_static(
+            traces,
+            &speeds,
+            |r: usize, _, _: &mut Rng64| {
                 // `next % hosts` under the invariant `next < hosts`
                 let t = lane_counters[r];
                 lane_counters[r] = if t + 1 == hosts { 0 } else { t + 1 };
                 t
-            };
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
-        FusedKind::Sita => {
-            let select = |r: usize, size, _: &mut Rng64| {
-                // `sita_pick` ≡ partition_point, per lane
+            },
+            lane_rngs,
+            free_at,
+            collectors,
+        ),
+        FusedKind::Sita => run_fused_static(
+            traces,
+            &speeds,
+            // `sita_pick` ≡ partition_point, per lane
+            |r: usize, size, _: &mut Rng64| {
                 sita_pick(&lane_cutoffs[r * stride..(r + 1) * stride], size)
-            };
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
+            },
+            lane_rngs,
+            free_at,
+            collectors,
+        ),
         FusedKind::WorkLeft => run_fused_work_left(traces, &speeds, free_at, collectors),
     }
     for (r, slot) in out.iter_mut().enumerate() {

@@ -7,7 +7,6 @@
 //! "fraction of load on Host 1" series needs.
 
 use dses_dist::{LogHistogram, Moments, OnlineMoments, QuantileSet};
-use dses_workload::Job;
 
 /// The outcome of one job's passage through the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -397,7 +396,6 @@ fn lane_stats(x: &[f64]) -> (f64, f64, f64, f64) {
     // a full block divides by 64 — a power of two, so the constant
     // multiply is the exact same value and the steady-state flush stays
     // divide-free; only tail blocks pay one divide
-    // dses-lint: allow(divide-budget) -- `1.0 / BLOCK` is a compile-time constant fold; the `/ len` arm runs only for the final partial block, once per run
     let mean = if x.len() == BLOCK { sum * (1.0 / BLOCK as f64) } else { sum / x.len() as f64 };
     let mut m2s = [0.0f64; 8];
     for c in x.chunks(8) {
@@ -735,7 +733,6 @@ impl Collector {
         debug_assert!(rec.completion >= rec.start, "negative service");
         debug_assert_eq!(
             inv_size.to_bits(),
-            // dses-lint: allow(divide-budget) -- debug_assert reciprocal pin: compiled out of release builds, never on the measured path
             (1.0 / rec.size).to_bits(),
             "inv_size must be the bitwise reciprocal of rec.size"
         );
@@ -796,121 +793,6 @@ impl Collector {
             b.fill = 0;
         }
         self.block = Some(b);
-    }
-
-    /// Record a contiguous run of completed jobs delivered as SoA lanes —
-    /// the segmented replay phase and the fused kernels hand the
-    /// collector exactly the slices they already hold, so the batched
-    /// tier stages by `copy_from_slice` instead of one struct at a time.
-    ///
-    /// Equivalent to calling [`Collector::record_with_inv`] once per
-    /// index in order (bitwise so on the per-record paths). All slices
-    /// must have equal length; `jobs` supplies the ids.
-    // dses-lint: divides(0)
-    // dses-lint: deny(alloc)
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_block_with_inv(
-        &mut self,
-        jobs: &[Job],
-        arrivals: &[f64],
-        sizes: &[f64],
-        inv_sizes: &[f64],
-        starts: &[f64],
-        completions: &[f64],
-        hosts: &[u32],
-    ) {
-        let n = jobs.len();
-        assert_eq!(arrivals.len(), n, "lane length mismatch");
-        assert_eq!(sizes.len(), n, "lane length mismatch");
-        assert_eq!(inv_sizes.len(), n, "lane length mismatch");
-        assert_eq!(starts.len(), n, "lane length mismatch");
-        assert_eq!(completions.len(), n, "lane length mismatch");
-        assert_eq!(hosts.len(), n, "lane length mismatch");
-        if self.path == RecordPath::Batched {
-            self.record_block_batched(arrivals, sizes, inv_sizes, starts, completions, hosts);
-            return;
-        }
-        for j in 0..n {
-            self.record_with_inv(
-                JobRecord {
-                    id: jobs[j].id,
-                    arrival: arrivals[j],
-                    size: sizes[j],
-                    start: starts[j],
-                    completion: completions[j],
-                    host: hosts[j] as usize,
-                },
-                inv_sizes[j],
-            );
-        }
-    }
-
-    /// Bulk lane staging for the batched tier: per-record through the
-    /// warmup boundary, then `copy_from_slice` chunks into the block
-    /// lanes with a makespan fold per chunk. Ids are not needed — the
-    /// batched tier never buffers records.
-    fn record_block_batched(
-        &mut self,
-        arrivals: &[f64],
-        sizes: &[f64],
-        inv_sizes: &[f64],
-        starts: &[f64],
-        completions: &[f64],
-        hosts: &[u32],
-    ) {
-        let n = arrivals.len();
-        let warmup = self.cfg.warmup_jobs as u64;
-        let mut j = 0;
-        while j < n && self.seen < warmup {
-            self.record_batched(
-                JobRecord {
-                    id: 0,
-                    arrival: arrivals[j],
-                    size: sizes[j],
-                    start: starts[j],
-                    completion: completions[j],
-                    host: hosts[j] as usize,
-                },
-                inv_sizes[j],
-            );
-            j += 1;
-        }
-        while j < n {
-            let Some(b) = self.block.as_mut() else {
-                unreachable!("RecordPath::Batched without lanes; reset() allocates them")
-            };
-            let take = (BLOCK - b.fill).min(n - j);
-            let f = b.fill;
-            for k in 0..take {
-                debug_assert!(starts[j + k] >= arrivals[j + k], "service before arrival");
-                debug_assert!(completions[j + k] >= starts[j + k], "negative service");
-                debug_assert_eq!(
-                    inv_sizes[j + k].to_bits(),
-                    // dses-lint: allow(divide-budget) -- debug_assert reciprocal pin: compiled out of release builds, never on the measured path
-                    (1.0 / sizes[j + k]).to_bits(),
-                    "inv_size must be the bitwise reciprocal of size"
-                );
-                b.resp[f + k] = completions[j + k] - arrivals[j + k];
-                b.wait[f + k] = starts[j + k] - arrivals[j + k];
-            }
-            b.size[f..f + take].copy_from_slice(&sizes[j..j + take]);
-            b.inv[f..f + take].copy_from_slice(&inv_sizes[j..j + take]);
-            b.host[f..f + take].copy_from_slice(&hosts[j..j + take]);
-            b.fill = f + take;
-            let full = b.fill == BLOCK;
-            let mut mk = self.makespan;
-            for &c in &completions[j..j + take] {
-                if c > mk {
-                    mk = c;
-                }
-            }
-            self.makespan = mk;
-            self.seen += take as u64;
-            j += take;
-            if full {
-                self.flush_block();
-            }
-        }
     }
 
     /// Finish one moment stream, masking extrema when `QUANTILES` is not
@@ -1390,52 +1272,6 @@ mod demand_tests {
             assert!((x.mean - y.mean).abs() <= 1e-12 * y.mean.abs().max(1e-300));
             assert!((x.variance - y.variance).abs() <= 1e-9 * y.variance.abs().max(1e-300));
         }
-    }
-
-    #[test]
-    fn soa_block_delivery_matches_per_record_calls_bitwise() {
-        let n = 200;
-        let jobs: Vec<Job> = (0..n)
-            .map(|i| Job {
-                id: i as u64,
-                arrival: i as f64,
-                size: 1.0 + (i % 11) as f64,
-            })
-            .collect();
-        let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival).collect();
-        let sizes: Vec<f64> = jobs.iter().map(|j| j.size).collect();
-        let inv_sizes: Vec<f64> = sizes.iter().map(|&s| 1.0 / s).collect();
-        let starts: Vec<f64> = arrivals.iter().map(|&a| a + 0.5).collect();
-        let completions: Vec<f64> = starts.iter().zip(&sizes).map(|(&st, &sz)| st + sz).collect();
-        let hosts: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let cfg = MetricsConfig {
-            warmup_jobs: 7,
-            ..MetricsConfig::streaming()
-        };
-        let mut block = Collector::new(2, cfg);
-        block.record_block_with_inv(&jobs, &arrivals, &sizes, &inv_sizes, &starts, &completions, &hosts);
-        let mut scalar = Collector::new(2, cfg);
-        for (j, job) in jobs.iter().enumerate() {
-            scalar.record_with_inv(
-                JobRecord {
-                    id: job.id,
-                    arrival: arrivals[j],
-                    size: sizes[j],
-                    start: starts[j],
-                    completion: completions[j],
-                    host: hosts[j] as usize,
-                },
-                inv_sizes[j],
-            );
-        }
-        let a = block.finish();
-        let b = scalar.finish();
-        assert_eq!(a.slowdown.mean.to_bits(), b.slowdown.mean.to_bits());
-        assert_eq!(a.slowdown.variance.to_bits(), b.slowdown.variance.to_bits());
-        assert_eq!(a.waiting.mean.to_bits(), b.waiting.mean.to_bits());
-        assert_eq!(a.per_host, b.per_host);
-        assert_eq!(a.measured, b.measured);
-        assert_eq!(a.skipped, b.skipped);
     }
 
     #[test]

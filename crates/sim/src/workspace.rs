@@ -73,23 +73,6 @@ pub struct SimWorkspace {
     pub(crate) lane_counters: Vec<usize>,
     /// Per-lane SITA cutoffs, flattened with a fixed stride.
     pub(crate) lane_cutoffs: Vec<f64>,
-    /// Segmented kernel, phase 1: each block job's chosen host, lane-major
-    /// (`chosen[r*block + j]` is lane `r`'s choice for block-local job `j`).
-    pub(crate) chosen: Vec<u32>,
-    /// Segmented kernel: per-lane segment boundaries into [`Self::seg_idx`],
-    /// `hosts + 1` entries per lane (`seg_offsets[r*(h+1) + c]` is where
-    /// host `c`'s segment starts within lane `r`'s block).
-    pub(crate) seg_offsets: Vec<u32>,
-    /// Segmented kernel: block-local job indices bucket-partitioned by
-    /// chosen host (stable counting sort of `0..block` by [`Self::chosen`]),
-    /// lane-major like `chosen`.
-    pub(crate) seg_idx: Vec<u32>,
-    /// Segmented kernel, phase 2 output: each block job's service start,
-    /// written segment-by-segment, read back in arrival order.
-    pub(crate) seg_starts: Vec<f64>,
-    /// Segmented kernel, phase 2 output: each block job's departure
-    /// (completion) time, the `departs` slot of the two-phase split.
-    pub(crate) seg_departs: Vec<f64>,
 }
 
 impl SimWorkspace {
@@ -109,36 +92,6 @@ impl SimWorkspace {
             lane_rngs: Vec::new(),
             lane_counters: Vec::new(),
             lane_cutoffs: Vec::new(),
-            chosen: Vec::new(),
-            seg_offsets: Vec::new(),
-            seg_idx: Vec::new(),
-            seg_starts: Vec::new(),
-            seg_departs: Vec::new(),
-        }
-    }
-
-    /// Shape the segmented-kernel scratch for `lanes` replication lanes on
-    /// `hosts` hosts with a `block`-job working set. All five buffers are
-    /// grow-once: `resize` only allocates the first time a larger shape
-    /// runs, after which steady-state segmented sweeps never touch the
-    /// allocator (the counting gate in `perf_report` measures this).
-    ///
-    /// Contents are *not* cleared — every slot the kernel reads is written
-    /// earlier in the same run (phase 1 writes all of `chosen`, the
-    /// counting sort writes all of `seg_idx`, the chains write exactly the
-    /// `starts`/`departs` slots phase 3 reads), so stale values from a
-    /// previous run are unobservable.
-    pub(crate) fn reset_segmented(&mut self, lanes: usize, hosts: usize, block: usize) {
-        let jobs = lanes * block;
-        if self.chosen.len() < jobs {
-            self.chosen.resize(jobs, 0);
-            self.seg_idx.resize(jobs, 0);
-            self.seg_starts.resize(jobs, 0.0);
-            self.seg_departs.resize(jobs, 0.0);
-        }
-        let offsets = lanes * (hosts + 1);
-        if self.seg_offsets.len() < offsets {
-            self.seg_offsets.resize(offsets, 0);
         }
     }
 

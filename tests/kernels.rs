@@ -12,15 +12,21 @@
 //! on a C90-style trace at three loads, and all three must produce
 //! record-for-record identical schedules. Central-queue policies have no
 //! dispatch form and are exercised by the event-engine tests instead.
+//!
+//! The closed-form static kernels also run at h = 1024, where SITA's
+//! host lookup binary-searches a 1023-cutoff ladder, and on a trace
+//! whose job sizes sit exactly on the cutoffs, where a tie must route
+//! left as the policy's own `partition_point` does.
 
 use dses_core::cutoffs::CutoffMethod;
+use dses_core::policies::SizeInterval;
 use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_dist::Rng64;
 use dses_sim::metrics::JobRecord;
 use dses_sim::{
     simulate_dispatch, Dispatcher, EventEngine, MetricsConfig, StateNeeds, SystemState,
 };
-use dses_workload::Job;
+use dses_workload::{Job, Trace};
 
 /// Forces the full-state loop: delegates everything but inherits the
 /// default `state_needs` of `StateNeeds::ALL`.
@@ -74,28 +80,36 @@ fn sorted(mut records: Vec<JobRecord>) -> Vec<JobRecord> {
 fn assert_three_way_identical(spec: &PolicySpec, hosts: usize, rho: f64, seed: u64) {
     let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, seed);
     let lambda = trace.arrival_rate();
+    let label = format!("{} (hosts={hosts}, rho={rho})", spec.name());
+    assert_three_way_identical_on(
+        &trace,
+        hosts,
+        || build_dispatch(spec, lambda, hosts),
+        &label,
+    );
+}
 
-    let mut specialized = build_dispatch(spec, lambda, hosts);
-    let fast = simulate_dispatch(&trace, hosts, specialized.as_mut(), 7, records_cfg());
-
-    let mut full = ForceFull(build_dispatch(spec, lambda, hosts));
-    let slow = simulate_dispatch(&trace, hosts, &mut full, 7, records_cfg());
-
-    let mut for_event = build_dispatch(spec, lambda, hosts);
-    let event = EventEngine::new(hosts, records_cfg()).run_dispatch(&trace, for_event.as_mut(), 7);
+/// Specialized loop ≡ full loop ≡ event engine for `fresh()` on `trace`.
+fn assert_three_way_identical_on(
+    trace: &Trace,
+    hosts: usize,
+    fresh: impl Fn() -> Box<dyn Dispatcher>,
+    label: &str,
+) {
+    let fast = simulate_dispatch(trace, hosts, fresh().as_mut(), 7, records_cfg());
+    let slow = simulate_dispatch(trace, hosts, &mut ForceFull(fresh()), 7, records_cfg());
+    let event = EventEngine::new(hosts, records_cfg()).run_dispatch(trace, fresh().as_mut(), 7);
 
     let fast_records = sorted(fast.records.unwrap());
     assert_eq!(
         fast_records,
         sorted(slow.records.unwrap()),
-        "{} (hosts={hosts}, rho={rho}): specialized loop vs full loop",
-        spec.name()
+        "{label}: specialized loop vs full loop"
     );
     assert_eq!(
         fast_records,
         sorted(event.records.unwrap()),
-        "{} (hosts={hosts}, rho={rho}): fast engine vs event engine",
-        spec.name()
+        "{label}: fast engine vs event engine"
     );
 }
 
@@ -127,6 +141,53 @@ fn multi_host_policies_match_across_kernels_and_engines() {
             assert_three_way_identical(&spec, 4, rho, 11 + i as u64);
         }
     }
+
+    // h = 1024: the static kernels at their widest, with SITA on a
+    // strictly increasing ladder spanning the C90 size range (1023
+    // cutoffs, so the host lookup takes the binary-search path)
+    let hosts = 1024;
+    let ladder: Vec<f64> = (1..hosts).map(|i| 500.0 * 1.02f64.powi(i as i32)).collect();
+    let sita_wide =
+        || Box::new(SizeInterval::new(ladder.clone(), "SITA-wide")) as Box<dyn Dispatcher>;
+    for (i, &rho) in [0.5, 0.9].iter().enumerate() {
+        for spec in [PolicySpec::Random, PolicySpec::RoundRobin] {
+            assert_three_way_identical(&spec, hosts, rho, 21 + i as u64);
+        }
+        let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, 21 + i as u64);
+        assert_three_way_identical_on(&trace, hosts, sita_wide, &format!("SITA-wide (rho={rho})"));
+    }
+    // more hosts than jobs: most hosts never see a job
+    let sparse = dses_workload::psc_c90().trace(600, 0.5, hosts, 41);
+    let lambda = sparse.arrival_rate();
+    assert_three_way_identical_on(
+        &sparse,
+        hosts,
+        || build_dispatch(&PolicySpec::Random, lambda, hosts),
+        "Random (600 jobs on 1024 hosts)",
+    );
+
+    // sizes exactly on the cutoffs, plus straddles and extremes, with
+    // dense ties: 63 cutoffs, also past the linear-lookup width
+    let hosts = 64;
+    let cuts: Vec<f64> = (1..hosts).map(|i| i as f64).collect();
+    let mut sizes: Vec<f64> = Vec::new();
+    for &c in &cuts {
+        sizes.extend_from_slice(&[c, c, c - 0.5, c + 0.5]);
+    }
+    sizes.extend_from_slice(&[0.25, 1e9]);
+    let boundary = Trace::new(
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Job::new(i as u64, i as f64 * 0.125, s))
+            .collect(),
+    );
+    assert_three_way_identical_on(
+        &boundary,
+        hosts,
+        || Box::new(SizeInterval::new(cuts.clone(), "SITA-boundary")),
+        "SITA on cutoff-boundary sizes",
+    );
 }
 
 #[test]

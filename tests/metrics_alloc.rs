@@ -6,7 +6,9 @@
 //! including the widest host count, whose per-host vector is the
 //! largest hand-off — must perform **zero** heap allocations in steady
 //! state. The batched tier's SoA lanes are a grow-once boxed block
-//! owned by the collector; once built they are reused forever.
+//! owned by the collector; once built they are reused forever. The
+//! fused replication pass keeps one collector per lane in the same
+//! workspace, so it is gated here too.
 //!
 //! This gate lives in its own test binary: the default harness runs a
 //! binary's tests on multiple threads, and any concurrent test would
@@ -14,9 +16,10 @@
 
 use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_sim::{
-    simulate_dispatch_into, simulate_dispatch_segmented_into, Demand, Dispatcher, MetricsConfig,
+    simulate_dispatch_fused_into, simulate_dispatch_into, Demand, Dispatcher, MetricsConfig,
     SimResult, SimWorkspace,
 };
+use dses_workload::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -115,29 +118,45 @@ fn steady_state_collector_tiers_do_not_allocate() {
         }
     }
 
-    // The batched tier through the segmented kernels (the SoA delivery
-    // path) must stay zero-alloc too.
-    let hosts = 64;
-    let trace = dses_workload::psc_c90().trace(12_000, 0.7, hosts, 29);
-    let lambda = trace.arrival_rate();
-    let mut policy = build(&PolicySpec::SitaE, lambda, hosts);
-    let cfg = MetricsConfig {
-        batched: true,
-        ..MetricsConfig::streaming()
-    };
-    simulate_dispatch_segmented_into(&trace, hosts, policy.as_mut(), 1, cfg, &mut ws, &mut out);
-    let (_, allocs) = alloc_count_of(|| {
-        for seed in 2..6 {
-            simulate_dispatch_segmented_into(
-                &trace,
-                hosts,
-                policy.as_mut(),
-                seed,
-                cfg,
-                &mut ws,
-                &mut out,
-            );
-        }
-    });
-    assert_eq!(allocs, 0, "batched segmented replay allocated in steady state");
+    // Fused lanes: eight SITA-E replications sharing one workspace, on
+    // both the full and the batched tier — the lane collectors, banks
+    // and result slots are all grow-once.
+    let hosts = 8;
+    let lanes = 8;
+    let traces: Vec<Trace> = (0..lanes)
+        .map(|r| dses_workload::psc_c90().trace(5_000, 0.7, hosts, 900 + r as u64))
+        .collect();
+    let refs: Vec<&Trace> = traces.iter().collect();
+    let lambda = traces[0].arrival_rate();
+    let mut policies: Vec<Box<dyn Dispatcher>> = (0..lanes)
+        .map(|_| build(&PolicySpec::SitaE, lambda, hosts))
+        .collect();
+    let seeds: Vec<u64> = (0..lanes as u64).collect();
+    let mut results = Vec::new();
+    for (tier, cfg) in [&tiers[0], &tiers[3]] {
+        let cfgs = vec![*cfg; lanes];
+        simulate_dispatch_fused_into(
+            &refs,
+            hosts,
+            &mut policies,
+            &seeds,
+            &cfgs,
+            &mut ws,
+            &mut results,
+        );
+        let (_, allocs) = alloc_count_of(|| {
+            for _ in 0..4 {
+                simulate_dispatch_fused_into(
+                    &refs,
+                    hosts,
+                    &mut policies,
+                    &seeds,
+                    &cfgs,
+                    &mut ws,
+                    &mut results,
+                );
+            }
+        });
+        assert_eq!(allocs, 0, "fused {tier} tier allocated in steady state");
+    }
 }

@@ -18,8 +18,7 @@ use dses_core::prelude::*;
 use dses_queueing::cutoff::sita_e_cutoffs;
 use dses_sim::metrics::Collector;
 use dses_sim::{
-    simulate_dispatch, simulate_dispatch_segmented_into, simulate_dispatch_unsegmented_into,
-    Demand, EventEngine, JobRecord, SimWorkspace,
+    simulate_dispatch, simulate_dispatch_into, Demand, EventEngine, JobRecord, SimWorkspace,
 };
 
 fn c90_trace(jobs: usize, hosts: usize, seed: u64) -> Trace {
@@ -65,47 +64,39 @@ fn full_demand_is_record_bitwise_identical_across_engines() {
         for (name, build) in builders(hosts) {
             let fast = simulate_dispatch(&trace, hosts, build().as_mut(), 7, cfg);
             let event = EventEngine::new(hosts, cfg).run_dispatch(&trace, build().as_mut(), 7);
-            let mut seg = SimResult::empty();
-            simulate_dispatch_segmented_into(
+            let mut reused = SimResult::empty();
+            simulate_dispatch_into(
                 &trace,
                 hosts,
                 build().as_mut(),
                 7,
                 cfg,
                 &mut ws,
-                &mut seg,
+                &mut reused,
             );
-            let mut direct = SimResult::empty();
-            simulate_dispatch_unsegmented_into(
-                &trace,
-                hosts,
-                build().as_mut(),
-                7,
-                cfg,
-                &mut ws,
-                &mut direct,
-            );
-            // the vectorized engines share the fast engine's record
-            // order: schedules, summaries, and tallies are all bitwise
+            // a workspace that last ran another host count shares the
+            // thread-local run's record order: schedules, summaries, and
+            // tallies are all bitwise
             let reference: &[JobRecord] = fast.records.as_deref().unwrap();
-            for (engine, got) in [("segmented", &seg), ("direct", &direct)] {
-                assert_eq!(
-                    reference,
-                    got.records.as_deref().unwrap(),
-                    "{name} records diverged on {engine} at h={hosts}"
-                );
-                assert_eq!(
-                    moments_bits(&fast.slowdown),
-                    moments_bits(&got.slowdown),
-                    "{name} slowdown diverged on {engine} at h={hosts}"
-                );
-                assert_eq!(fast.per_host, got.per_host, "{name} per-host on {engine} h={hosts}");
-                assert_eq!(
-                    fast.makespan.to_bits(),
-                    got.makespan.to_bits(),
-                    "{name} makespan on {engine} h={hosts}"
-                );
-            }
+            assert_eq!(
+                reference,
+                reused.records.as_deref().unwrap(),
+                "{name} records diverged on a reused workspace at h={hosts}"
+            );
+            assert_eq!(
+                moments_bits(&fast.slowdown),
+                moments_bits(&reused.slowdown),
+                "{name} slowdown diverged on a reused workspace at h={hosts}"
+            );
+            assert_eq!(
+                fast.per_host, reused.per_host,
+                "{name} per-host on reused h={hosts}"
+            );
+            assert_eq!(
+                fast.makespan.to_bits(),
+                reused.makespan.to_bits(),
+                "{name} makespan on reused h={hosts}"
+            );
             // the event engine records in completion order; the schedule
             // itself must still be job-for-job bitwise identical
             let mut by_id: Vec<JobRecord> = reference.to_vec();
@@ -316,7 +307,7 @@ fn batched_engine_runs_match_scalar_within_bounds() {
                 MetricsConfig::streaming(),
             );
             let mut b = SimResult::empty();
-            simulate_dispatch_segmented_into(
+            simulate_dispatch_into(
                 &trace,
                 hosts,
                 build().as_mut(),

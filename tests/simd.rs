@@ -43,54 +43,72 @@ fn build(spec: &PolicySpec, lambda: f64, hosts: usize) -> Box<dyn Dispatcher> {
 
 /// Fused lanes must be bit-identical to solo runs at R ∈ {1, 3, 8} —
 /// R = 1 is the degenerate single-lane pass, 3 leaves the lane count
-/// under the argmin chunk width, 8 fills a whole fuse block.
+/// under the argmin chunk width, 8 fills a whole fuse block. The static
+/// kernels also run 8 lanes of 5 000 jobs on 8 hosts: the long, narrow
+/// shape `Experiment::replicate` produces.
 #[test]
 fn fused_replications_match_sequential_bitwise() {
-    let hosts = 4;
-    for spec in fused_roster() {
-        for lanes in [1usize, 3, 8] {
-            // distinct trace and policy seed per lane, like a replicated
-            // grid point
-            let traces: Vec<Trace> = (0..lanes)
-                .map(|r| dses_workload::psc_c90().trace(2_000, 0.7, hosts, 100 + r as u64))
-                .collect();
-            let refs: Vec<&Trace> = traces.iter().collect();
-            let lambda = traces[0].arrival_rate();
-            let mut policies: Vec<Box<dyn Dispatcher>> =
-                (0..lanes).map(|_| build(&spec, lambda, hosts)).collect();
-            let seeds: Vec<u64> = (0..lanes).map(|r| 7 + r as u64).collect();
-            let cfgs = vec![records_cfg(); lanes];
-
-            let fused = simulate_dispatch_fused(&refs, hosts, &mut policies, &seeds, &cfgs);
-
-            for r in 0..lanes {
-                let mut solo_policy = build(&spec, lambda, hosts);
-                let solo = simulate_dispatch(
-                    &traces[r],
-                    hosts,
-                    solo_policy.as_mut(),
-                    seeds[r],
-                    records_cfg(),
-                );
-                assert_eq!(
-                    fused[r].records, solo.records,
-                    "{} lane {r}/{lanes}: fused schedule diverged",
-                    spec.name()
-                );
-                assert_eq!(
-                    fused[r].slowdown, solo.slowdown,
-                    "{} lane {r}/{lanes}: fused slowdown moments diverged",
-                    spec.name()
-                );
-                assert_eq!(fused[r].per_host, solo.per_host, "{} lane {r}", spec.name());
-                assert_eq!(
-                    fused[r].makespan.to_bits(),
-                    solo.makespan.to_bits(),
-                    "{} lane {r}",
-                    spec.name()
-                );
+    let long_static = vec![
+        PolicySpec::Random,
+        PolicySpec::RoundRobin,
+        PolicySpec::SitaE,
+    ];
+    let cases = [
+        (4usize, 2_000usize, vec![1usize, 3, 8], fused_roster()),
+        (8, 5_000, vec![8], long_static),
+    ];
+    for (hosts, jobs, lane_counts, roster) in cases {
+        for spec in roster {
+            for &lanes in &lane_counts {
+                check_fused_lanes(&spec, hosts, jobs, lanes);
             }
         }
+    }
+}
+
+/// Fuse `lanes` replications of `spec` and compare every lane with its
+/// solo run, record for record and moment for moment.
+fn check_fused_lanes(spec: &PolicySpec, hosts: usize, jobs: usize, lanes: usize) {
+    // distinct trace and policy seed per lane, like a replicated
+    // grid point
+    let traces: Vec<Trace> = (0..lanes)
+        .map(|r| dses_workload::psc_c90().trace(jobs, 0.7, hosts, 100 + r as u64))
+        .collect();
+    let refs: Vec<&Trace> = traces.iter().collect();
+    let lambda = traces[0].arrival_rate();
+    let mut policies: Vec<Box<dyn Dispatcher>> =
+        (0..lanes).map(|_| build(spec, lambda, hosts)).collect();
+    let seeds: Vec<u64> = (0..lanes).map(|r| 7 + r as u64).collect();
+    let cfgs = vec![records_cfg(); lanes];
+
+    let fused = simulate_dispatch_fused(&refs, hosts, &mut policies, &seeds, &cfgs);
+
+    for r in 0..lanes {
+        let mut solo_policy = build(spec, lambda, hosts);
+        let solo = simulate_dispatch(
+            &traces[r],
+            hosts,
+            solo_policy.as_mut(),
+            seeds[r],
+            records_cfg(),
+        );
+        assert_eq!(
+            fused[r].records, solo.records,
+            "{} lane {r}/{lanes}: fused schedule diverged",
+            spec.name()
+        );
+        assert_eq!(
+            fused[r].slowdown, solo.slowdown,
+            "{} lane {r}/{lanes}: fused slowdown moments diverged",
+            spec.name()
+        );
+        assert_eq!(fused[r].per_host, solo.per_host, "{} lane {r}", spec.name());
+        assert_eq!(
+            fused[r].makespan.to_bits(),
+            solo.makespan.to_bits(),
+            "{} lane {r}",
+            spec.name()
+        );
     }
 }
 
