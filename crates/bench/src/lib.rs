@@ -1,14 +1,13 @@
-//! Shared plumbing for the paper-exhibit regenerators and micro-benches.
+//! Shared plumbing for the paper-exhibit regenerators.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of
 //! Schroeder & Harchol-Balter (HPDC 2000); this library holds the common
-//! workload setup, load grids, rendering helpers, and a dependency-free
-//! timing harness ([`harness`]) so every exhibit reports the same way.
+//! workload setup, load grids and rendering helpers so every exhibit
+//! reports the same way. Timing lives in the repo benchmark,
+//! `perfbench/`, which does not link this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use dses_core::prelude::*;
 use dses_core::report::{fmt_num, Table};

@@ -5,8 +5,9 @@
 //! PRs 6–8 bought the engine's throughput with hand-audited invariants:
 //! zero float divides per steady-state job, zero allocations per grid
 //! point, grow-once workspace buffers, and demand decisions compiled
-//! into const generics. Each was guarded only by runtime gates in
-//! `perf_report` — this tier proves them at lint time:
+//! into const generics. Each was guarded only by runtime gates in the
+//! test suite (the counting allocator in `tests/metrics_alloc.rs`, the
+//! record-identity tests) — this tier proves them at lint time:
 //!
 //! | rule | contract |
 //! |------|----------|

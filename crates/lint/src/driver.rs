@@ -371,7 +371,7 @@ mod tests {
             cli_main,
             Some(("cli".into(), FileKind::Bin, Some(RootKind::BinRoot)))
         );
-        let bench_bin = classify(&root, "crates/bench/src/bin/perf_report.rs");
+        let bench_bin = classify(&root, "crates/bench/src/bin/fig2.rs");
         assert_eq!(bench_bin, Some(("bench".into(), FileKind::Bin, None)));
         let test = classify(&root, "crates/lint/tests/rules.rs");
         assert_eq!(test, Some(("lint".into(), FileKind::Test, None)));

@@ -7,7 +7,7 @@
 //! **allocation-free** (the PR 3 sweep engine), library code must have
 //! **panic hygiene** (every `unwrap` carries a stated invariant), and
 //! float comparisons must go through **total-order helpers**. The
-//! runtime gates in `perf_report` verify these after the fact; this
+//! runtime gates in the test suite verify these after the fact; this
 //! crate enforces them *at the source level*, before a violation can
 //! corrupt a number.
 //!

@@ -679,6 +679,28 @@ mod tests {
         .unwrap()
     }
 
+    /// [`BoundedPareto`] with its closed-form moments hidden: only
+    /// `sample`/`support`/`cdf`/`quantile` are supplied, so every partial
+    /// and raw moment falls back to the trait's quantile-space
+    /// quadrature — the class of distribution the memo exists for.
+    #[derive(Debug)]
+    struct NumericOnly(BoundedPareto);
+
+    impl Distribution for NumericOnly {
+        fn sample(&self, rng: &mut Rng64) -> f64 {
+            self.0.sample(rng)
+        }
+        fn support(&self) -> (f64, f64) {
+            self.0.support()
+        }
+        fn cdf(&self, x: f64) -> f64 {
+            self.0.cdf(x)
+        }
+        fn quantile(&self, p: f64) -> f64 {
+            self.0.quantile(p)
+        }
+    }
+
     #[test]
     fn sita_e_equalises_load_two_hosts() {
         let d = c90ish();
@@ -848,6 +870,19 @@ mod tests {
         let cached_fair = TruncatedMoments::new(&d);
         let memoized_fair = sita_u_fair_cutoff(&cached_fair, lambda).unwrap();
         assert_eq!(raw_fair.to_bits(), memoized_fair.to_bits());
+
+        // the quadrature path: a distribution without closed-form
+        // moments, where every memo hit replaces a numeric integral
+        // (Erlang and LogNormal are avoided: their cdf(inf) is NaN)
+        let numeric = NumericOnly(BoundedPareto::new(1.0, 1.0e7, 1.1).unwrap());
+        assert!(!numeric.closed_form_moments());
+        let lambda = 1.4 / numeric.mean();
+        let raw_fair = sita_u_fair_cutoff(&numeric, lambda).unwrap();
+        let cached_fair = TruncatedMoments::new(&numeric);
+        let memoized_fair = sita_u_fair_cutoff(&cached_fair, lambda).unwrap();
+        assert_eq!(raw_fair.to_bits(), memoized_fair.to_bits());
+        let (hits, _) = cached_fair.stats();
+        assert!(hits > 0, "quadrature-path solve should reuse cached moments");
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub use fast::{
     simulate_dispatch_into, simulate_dispatch_speeds, simulate_dispatch_speeds_into,
 };
 pub use par::{
-    available_workers, effective_workers, par_map, par_map_grouped, par_map_indexed,
-    par_map_indexed_scoped, WorkerPool,
+    available_workers, effective_workers, par_map, par_map_grouped, par_map_indexed, WorkerPool,
 };
 pub use metrics::{Demand, HostStats, JobRecord, MetricsConfig, SimResult};
 pub use state::{

@@ -163,7 +163,7 @@ pub struct MetricsConfig {
     /// are then **ulp-bounded** rather than bit-identical to the
     /// per-record tiers (count, extrema, makespan, and per-host tallies
     /// stay exact), so this tier carries its own relative-error gate in
-    /// `perf_report`, is never the default, and is never used by
+    /// `tests/metrics_demand.rs`, is never the default, and is never used by
     /// exhibits. Engages only when no per-record optional accumulator
     /// is active (records, fairness profile, percentiles, class split,
     /// SLO counter — each off in config or undemanded); otherwise the

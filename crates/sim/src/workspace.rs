@@ -11,7 +11,7 @@
 //! begins by *resetting* — clearing lengths and accumulators without
 //! freeing — so after a warm-up run of the largest shape, the steady
 //! state of a sweep performs **zero heap allocation per grid point**
-//! (`perf_report` gates on the measured count).
+//! (`tests/metrics_alloc.rs` gates on the measured count).
 //!
 //! Reset is also what makes reuse safe: every kernel starts from
 //! `reset`-initialized state, so a workspace that last ran a different

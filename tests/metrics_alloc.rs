@@ -1,5 +1,5 @@
-//! Zero-allocation gates for the collector's finish path and the
-//! block-batched tier.
+//! Zero-allocation gates for the dispatch kernels, the collector's
+//! finish path and the block-batched tier.
 //!
 //! `Collector::finish_into` hands its per-host tallies and record
 //! buffer to the output by pointer swap, so a warmed workspace run —
@@ -7,8 +7,11 @@
 //! largest hand-off — must perform **zero** heap allocations in steady
 //! state. The batched tier's SoA lanes are a grow-once boxed block
 //! owned by the collector; once built they are reused forever. The
-//! fused replication pass keeps one collector per lane in the same
-//! workspace, so it is gated here too.
+//! work-left kernel's host bank and the queue-length kernel's FIFO
+//! deques and tournament heap live in the same workspace and are held
+//! to the same gate. The fused replication pass keeps one collector and
+//! one host bank per lane in the same workspace, so it is gated here
+//! too.
 //!
 //! This gate lives in its own test binary: the default harness runs a
 //! binary's tests on multiple threads, and any concurrent test would
@@ -93,11 +96,22 @@ fn steady_state_collector_tiers_do_not_allocate() {
             },
         ),
     ];
+    // Random runs every tier; the work-left and queue-length kernels run
+    // the full tier, so their host banks, deques and expiry heap are
+    // gated at both host counts too.
+    let runs: Vec<(PolicySpec, &(&str, MetricsConfig))> = tiers
+        .iter()
+        .map(|t| (PolicySpec::Random, t))
+        .chain([
+            (PolicySpec::LeastWorkLeft, &tiers[0]),
+            (PolicySpec::ShortestQueue, &tiers[0]),
+        ])
+        .collect();
     for &hosts in &[8usize, 1024] {
         let trace = dses_workload::psc_c90().trace(12_000, 0.7, hosts, 23);
         let lambda = trace.arrival_rate();
-        let mut policy = build(&PolicySpec::Random, lambda, hosts);
-        for (tier, cfg) in &tiers {
+        for (spec, (tier, cfg)) in &runs {
+            let mut policy = build(spec, lambda, hosts);
             // warm-up run grows every buffer (and the block lanes) to
             // this shape
             simulate_dispatch_into(&trace, hosts, policy.as_mut(), 1, *cfg, &mut ws, &mut out);
@@ -114,49 +128,63 @@ fn steady_state_collector_tiers_do_not_allocate() {
                     );
                 }
             });
-            assert_eq!(allocs, 0, "{tier} tier allocated in steady state at h={hosts}");
+            assert_eq!(
+                allocs, 0,
+                "{} on the {tier} tier allocated in steady state at h={hosts}",
+                spec.name()
+            );
         }
     }
 
-    // Fused lanes: eight SITA-E replications sharing one workspace, on
-    // both the full and the batched tier — the lane collectors, banks
-    // and result slots are all grow-once.
-    let hosts = 8;
+    // Fused lanes: eight replications sharing one workspace, on both the
+    // full and the batched tier — the lane collectors, banks and result
+    // slots are all grow-once. SITA-E and Least-Work-Left lanes cover the
+    // static and work-left fused kernels; Random at h=1024 is the widest
+    // lane bank.
     let lanes = 8;
-    let traces: Vec<Trace> = (0..lanes)
-        .map(|r| dses_workload::psc_c90().trace(5_000, 0.7, hosts, 900 + r as u64))
-        .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let lambda = traces[0].arrival_rate();
-    let mut policies: Vec<Box<dyn Dispatcher>> = (0..lanes)
-        .map(|_| build(&PolicySpec::SitaE, lambda, hosts))
-        .collect();
     let seeds: Vec<u64> = (0..lanes as u64).collect();
     let mut results = Vec::new();
-    for (tier, cfg) in [&tiers[0], &tiers[3]] {
-        let cfgs = vec![*cfg; lanes];
-        simulate_dispatch_fused_into(
-            &refs,
-            hosts,
-            &mut policies,
-            &seeds,
-            &cfgs,
-            &mut ws,
-            &mut results,
-        );
-        let (_, allocs) = alloc_count_of(|| {
-            for _ in 0..4 {
-                simulate_dispatch_fused_into(
-                    &refs,
-                    hosts,
-                    &mut policies,
-                    &seeds,
-                    &cfgs,
-                    &mut ws,
-                    &mut results,
-                );
-            }
-        });
-        assert_eq!(allocs, 0, "fused {tier} tier allocated in steady state");
+    for (spec, hosts) in [
+        (PolicySpec::SitaE, 8usize),
+        (PolicySpec::LeastWorkLeft, 8),
+        (PolicySpec::Random, 1024),
+    ] {
+        let traces: Vec<Trace> = (0..lanes)
+            .map(|r| dses_workload::psc_c90().trace(5_000, 0.7, hosts, 900 + r as u64))
+            .collect();
+        let refs: Vec<&Trace> = traces.iter().collect();
+        let lambda = traces[0].arrival_rate();
+        let mut policies: Vec<Box<dyn Dispatcher>> =
+            (0..lanes).map(|_| build(&spec, lambda, hosts)).collect();
+        for (tier, cfg) in [&tiers[0], &tiers[3]] {
+            let cfgs = vec![*cfg; lanes];
+            simulate_dispatch_fused_into(
+                &refs,
+                hosts,
+                &mut policies,
+                &seeds,
+                &cfgs,
+                &mut ws,
+                &mut results,
+            );
+            let (_, allocs) = alloc_count_of(|| {
+                for _ in 0..4 {
+                    simulate_dispatch_fused_into(
+                        &refs,
+                        hosts,
+                        &mut policies,
+                        &seeds,
+                        &cfgs,
+                        &mut ws,
+                        &mut results,
+                    );
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "fused {} on the {tier} tier allocated in steady state at h={hosts}",
+                spec.name()
+            );
+        }
     }
 }

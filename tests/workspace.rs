@@ -10,8 +10,8 @@
 
 use dses_core::policies::{LeastWorkLeft, RandomPolicy, ShortestQueue};
 use dses_sim::{
-    simulate_dispatch, simulate_dispatch_into, EventEngine, MetricsConfig, QueueDiscipline,
-    SimResult, SimWorkspace,
+    simulate_dispatch, simulate_dispatch_into, Dispatcher, EventEngine, MetricsConfig,
+    QueueDiscipline, SimResult, SimWorkspace,
 };
 use dses_workload::{psc_c90, Trace};
 use std::sync::Arc;
@@ -69,50 +69,66 @@ fn poisoned_workspace_reproduces_fresh_results_bitwise() {
     // a queue-length policy (fills the FIFO kernel's deques), richer cfg
     let trace_b = preset.trace(900, 0.9, 7, 99);
 
-    let run_a = |ws: &mut SimWorkspace| {
-        let mut out = SimResult::empty();
+    // run A goes through the work-left kernel with streaming metrics and
+    // through the queue-length kernel with per-job records, so the
+    // queue-length kernel's deques and expiry heap are compared record
+    // for record after the poison, not only filled by it
+    type Fresh = fn() -> Box<dyn Dispatcher>;
+    let cases: [(&str, Fresh, MetricsConfig); 2] = [
+        ("Least-Work-Left", || Box::new(LeastWorkLeft), MetricsConfig::streaming()),
+        ("Shortest-Queue", || Box::new(ShortestQueue), MetricsConfig::full_records()),
+    ];
+    for (name, policy, cfg) in cases {
+        let run_a = |ws: &mut SimWorkspace| {
+            let mut out = SimResult::empty();
+            simulate_dispatch_into(&trace_a, 2, policy().as_mut(), 5, cfg, ws, &mut out);
+            out
+        };
+
+        let mut fresh = SimWorkspace::new();
+        let clean = run_a(&mut fresh);
+        assert_eq!(clean.records.is_some(), cfg.collect_records, "{name}: record collection");
+
+        let mut reused = SimWorkspace::new();
+        let first = run_a(&mut reused);
+        // poison: a run with a different shape through the same buffers …
+        let mut poison_out = SimResult::empty();
         simulate_dispatch_into(
-            &trace_a,
-            2,
-            &mut LeastWorkLeft,
-            5,
-            MetricsConfig::streaming(),
-            ws,
-            &mut out,
+            &trace_b,
+            7,
+            &mut ShortestQueue,
+            123,
+            rich_cfg(),
+            &mut reused,
+            &mut poison_out,
         );
-        out
-    };
+        assert!(poison_out.measured > 0, "poison run must actually execute");
+        // … and through the event engine too (both execution models dirty)
+        EventEngine::new(3, rich_cfg()).run_dispatch_into(
+            &trace_b,
+            &mut RandomPolicy,
+            7,
+            &mut reused,
+            &mut poison_out,
+        );
+        EventEngine::new(2, rich_cfg()).run_central_queue_into(
+            &trace_b,
+            QueueDiscipline::Sjf,
+            &mut reused,
+            &mut poison_out,
+        );
+        let again = run_a(&mut reused);
 
-    let mut fresh = SimWorkspace::new();
-    let clean = run_a(&mut fresh);
-
-    let mut reused = SimWorkspace::new();
-    let first = run_a(&mut reused);
-    // poison: a run with a different shape through the same buffers …
-    let mut poison_out = SimResult::empty();
-    simulate_dispatch_into(&trace_b, 7, &mut ShortestQueue, 123, rich_cfg(), &mut reused, &mut poison_out);
-    assert!(poison_out.measured > 0, "poison run must actually execute");
-    // … and through the event engine too (both execution models dirty)
-    EventEngine::new(3, rich_cfg()).run_dispatch_into(
-        &trace_b,
-        &mut RandomPolicy,
-        7,
-        &mut reused,
-        &mut poison_out,
-    );
-    EventEngine::new(2, rich_cfg()).run_central_queue_into(
-        &trace_b,
-        QueueDiscipline::Sjf,
-        &mut reused,
-        &mut poison_out,
-    );
-    let again = run_a(&mut reused);
-
-    assert_results_bitwise_equal(&clean, &first, "fresh workspace vs fresh workspace");
-    assert_results_bitwise_equal(&clean, &again, "poisoned-then-reused workspace");
-    // and the convenience wrapper (thread-local workspace) agrees as well
-    let wrapper = simulate_dispatch(&trace_a, 2, &mut LeastWorkLeft, 5, MetricsConfig::streaming());
-    assert_results_bitwise_equal(&clean, &wrapper, "thread-local wrapper");
+        assert_results_bitwise_equal(&clean, &first, &format!("{name}: fresh vs fresh workspace"));
+        assert_results_bitwise_equal(
+            &clean,
+            &again,
+            &format!("{name}: poisoned-then-reused workspace"),
+        );
+        // and the convenience wrapper (thread-local workspace) agrees as well
+        let wrapper = simulate_dispatch(&trace_a, 2, policy().as_mut(), 5, cfg);
+        assert_results_bitwise_equal(&clean, &wrapper, &format!("{name}: thread-local wrapper"));
+    }
 }
 
 #[test]
