@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, lint-clean clippy.
+# Tier-1 verification: release build, byte-identical exhibits, full test
+# suite, lint-clean clippy.
 # Run from the repository root. Any failure fails the script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# The exhibits are deterministic (seed 1997, any worker count), so the
+# committed capture must be reproduced byte for byte. A row may change
+# only with a bug fix, re-captured and listed in EXPERIMENTS.md
+# "Known deviations". ~15 s on 2 cores.
+target/release/all_exhibits | diff -u exhibits_output.txt - \
+    || { echo "ci: all_exhibits differs from exhibits_output.txt" >&2; exit 1; }
 # The benchmark is a package of its own outside the workspace; building
 # it here makes a crates/* API change that breaks it fail CI.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

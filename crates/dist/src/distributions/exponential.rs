@@ -96,11 +96,7 @@ impl Distribution for Exponential {
                 fact *= f64::from(i);
             }
             let lo = crate::special::reg_gamma_lower(kk + 1.0, self.rate * a);
-            let hi = if b.is_finite() {
-                crate::special::reg_gamma_lower(kk + 1.0, self.rate * b)
-            } else {
-                1.0
-            };
+            let hi = crate::special::reg_gamma_lower(kk + 1.0, self.rate * b);
             fact / self.rate.powi(k) * (hi - lo)
         } else if a > 0.0 {
             // finite because the interval excludes 0: numeric fallback

@@ -104,20 +104,9 @@ impl Distribution for LogNormal {
         } else {
             (a.ln() - self.mu) / self.sigma
         };
-        let zb = if b.is_finite() {
-            (b.ln() - self.mu) / self.sigma
-        } else {
-            f64::INFINITY
-        };
-        let phi = |z: f64| {
-            if z == f64::NEG_INFINITY {
-                0.0
-            } else if z == f64::INFINITY {
-                1.0
-            } else {
-                special::std_normal_cdf(z)
-            }
-        };
+        // Φ is total on [−∞, +∞], so b = +∞ needs no special case
+        let zb = (b.ln() - self.mu) / self.sigma;
+        let phi = special::std_normal_cdf;
         self.raw_moment(k) * (phi(zb - kf * self.sigma) - phi(za - kf * self.sigma))
     }
 }

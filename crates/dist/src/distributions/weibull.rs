@@ -141,18 +141,11 @@ impl Distribution for Weibull {
                 f64::INFINITY
             };
         }
+        // P(arg, ·) is total at +∞, so b = +∞ needs no special case
         let ta = (a / self.scale).powf(self.shape);
-        let tb = if b.is_finite() {
-            (b / self.scale).powf(self.shape)
-        } else {
-            f64::INFINITY
-        };
+        let tb = (b / self.scale).powf(self.shape);
         let plo = special::reg_gamma_lower(arg, ta.max(0.0));
-        let phi = if tb.is_finite() {
-            special::reg_gamma_lower(arg, tb)
-        } else {
-            1.0
-        };
+        let phi = special::reg_gamma_lower(arg, tb.max(0.0));
         self.raw_moment(k) * (phi - plo)
     }
 }

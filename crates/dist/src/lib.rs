@@ -47,6 +47,7 @@
 // Quadrature/Lanczos tables carry full published precision.
 #![allow(clippy::excessive_precision)]
 
+pub mod conformance;
 pub mod distributions;
 pub mod empirical;
 pub mod fit;

@@ -47,11 +47,14 @@ pub fn gamma(x: f64) -> f64 {
 /// Regularised lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)`.
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes style).
+/// (Numerical Recipes style). Total on `[0, +∞]`: `P(a, +∞) = 1`.
 pub fn reg_gamma_lower(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "reg_gamma_lower requires a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;
+    }
+    if x == f64::INFINITY {
+        return 1.0;
     }
     if x < a + 1.0 {
         // series: P(a,x) = x^a e^-x / Γ(a) * Σ x^n Γ(a)/Γ(a+1+n)
@@ -105,11 +108,14 @@ fn reg_gamma_upper_cf(a: f64, x: f64) -> f64 {
 ///
 /// Computed directly from the continued fraction when `x ≥ a + 1`, not as
 /// `1 − P(a, x)`, so tiny tail probabilities keep full relative accuracy
-/// (important for `erfc` at large arguments).
+/// (important for `erfc` at large arguments). Total on `[0, +∞]`:
+/// `Q(a, +∞) = 0`.
 pub fn reg_gamma_upper(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "reg_gamma_upper requires a > 0, x >= 0");
     if x == 0.0 {
         1.0
+    } else if x == f64::INFINITY {
+        0.0
     } else if x < a + 1.0 {
         1.0 - reg_gamma_lower(a, x)
     } else {
@@ -242,6 +248,21 @@ mod tests {
             let s = reg_gamma_lower(a, x) + reg_gamma_upper(a, x);
             assert!((s - 1.0).abs() < 1e-12, "a = {a}, x = {x}");
         }
+    }
+
+    #[test]
+    fn incomplete_gamma_and_normal_cdf_are_total_at_infinity() {
+        let inf = f64::INFINITY;
+        for a in [0.5, 1.0, 4.0, 19.0] {
+            assert_eq!(reg_gamma_lower(a, inf), 1.0, "P({a}, inf)");
+            assert_eq!(reg_gamma_upper(a, inf), 0.0, "Q({a}, inf)");
+        }
+        assert_eq!(erf(inf), 1.0);
+        assert_eq!(erf(-inf), -1.0);
+        assert_eq!(erfc(inf), 0.0);
+        assert_eq!(erfc(-inf), 2.0);
+        assert_eq!(std_normal_cdf(inf), 1.0);
+        assert_eq!(std_normal_cdf(-inf), 0.0);
     }
 
     #[test]

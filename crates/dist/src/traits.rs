@@ -204,7 +204,10 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
 
 /// `∫_{u_lo}^{u_hi} Q(u)^k du` by composite Gauss–Legendre with extra
 /// panel density near `u = 1`, where heavy tails concentrate.
-fn quantile_space_moment<D: Distribution + ?Sized>(d: &D, k: i32, u_lo: f64, u_hi: f64) -> f64 {
+///
+/// The trait's moment defaults, and the fallback for the orders a
+/// closed form does not cover.
+pub(crate) fn quantile_space_moment<D: Distribution + ?Sized>(d: &D, k: i32, u_lo: f64, u_hi: f64) -> f64 {
     debug_assert!(u_lo <= u_hi);
     if u_hi <= u_lo {
         return 0.0;

@@ -273,18 +273,21 @@ fn feasible_interval<D: Distribution + ?Sized>(
     // offered → 0.
     let rho1 = |c: f64| lambda * dist.partial_moment(1, 0.0, c);
     let rho2 = |c: f64| lambda * dist.partial_moment(1, c, hi_finite * (1.0 + 1e-12));
-    // c_hi: largest c with rho1 < 1
-    let c_hi = if offered < 1.0 {
+    // c_hi: largest c with rho1 < 1. On unbounded support at offered
+    // load 1, rho1 stays below 1 − 1e-9 all the way to hi_finite (the
+    // mass past it is cut off), so there is no root to bracket.
+    let target = 1.0 - 1e-9;
+    let c_hi = if offered < 1.0 || rho1(hi_finite) < target {
         hi_finite
     } else {
-        numeric::bisect(|c| rho1(c) - (1.0 - 1e-9), lo, hi_finite, 1e-12 * hi_finite)
+        numeric::bisect(|c| rho1(c) - target, lo, hi_finite, 1e-12 * hi_finite)
             .map_err(|e| CutoffError::SolveFailed(format!("rho1 bracket: {e}")))?
     };
     // c_lo: smallest c with rho2 < 1
-    let c_lo = if offered < 1.0 {
+    let c_lo = if offered < 1.0 || rho2(lo) < target {
         lo
     } else {
-        numeric::bisect(|c| rho2(c) - (1.0 - 1e-9), lo, hi_finite, 1e-12 * hi_finite)
+        numeric::bisect(|c| rho2(c) - target, lo, hi_finite, 1e-12 * hi_finite)
             .map_err(|e| CutoffError::SolveFailed(format!("rho2 bracket: {e}")))?
     };
     if c_lo >= c_hi {
@@ -873,7 +876,6 @@ mod tests {
 
         // the quadrature path: a distribution without closed-form
         // moments, where every memo hit replaces a numeric integral
-        // (Erlang and LogNormal are avoided: their cdf(inf) is NaN)
         let numeric = NumericOnly(BoundedPareto::new(1.0, 1.0e7, 1.1).unwrap());
         assert!(!numeric.closed_form_moments());
         let lambda = 1.4 / numeric.mean();
@@ -910,17 +912,32 @@ mod tests {
 
     #[test]
     fn quadrature_fallback_dists_keep_the_memo() {
-        // Erlang has no closed-form partial moment: the memo must stay.
-        let erl = Erlang::new(3, 0.5).unwrap();
-        assert!(!erl.closed_form_moments());
+        // a distribution on the quadrature defaults: the memo must stay
+        let numeric = NumericOnly(BoundedPareto::new(1.0, 1.0e7, 1.1).unwrap());
+        assert!(!numeric.closed_form_moments());
         // and a mixture inherits the weakest component
         let mixed = Mixture::new(vec![
-            (0.5, Box::new(Erlang::new(2, 1.0).unwrap()) as Box<dyn Distribution>),
+            (0.5, Box::new(numeric) as Box<dyn Distribution>),
             (0.5, Box::new(Exponential::with_mean(1.0).unwrap())),
         ])
         .unwrap();
         assert!(!mixed.closed_form_moments());
         assert!(c90ish().closed_form_moments());
+    }
+
+    #[test]
+    fn offered_load_one_on_unbounded_support_is_feasible() {
+        // ρ = 0.5 on 2 hosts: below the 1 − 1e-12 quantile ρ₁ stays
+        // under 1 − 1e-9, so neither stability edge has a root
+        let d = LogNormal::fit_mean_scv(1000.0, 8.0).unwrap();
+        let lambda = 0.5 * 2.0 / d.mean();
+        let (c_lo, c_hi) = feasible_interval(&d, lambda).unwrap();
+        assert_eq!((c_lo, c_hi), (0.0, d.quantile(1.0 - 1e-12)));
+        for c in [sita_u_opt_cutoff(&d, lambda), sita_u_fair_cutoff(&d, lambda)] {
+            let c = c.unwrap();
+            assert!(c > c_lo && c < c_hi, "cutoff {c}");
+            assert!(SitaAnalysis::analyze(&d, lambda, &[c]).is_stable());
+        }
     }
 
     #[test]

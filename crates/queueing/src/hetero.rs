@@ -81,20 +81,28 @@ pub fn analyze_hetero<D: Distribution + ?Sized>(
     for (w, &speed) in edges.windows(2).zip(speeds) {
         let (a, b) = (w[0], w[1]);
         let p = dist.prob_in(a, b);
-        // dses-lint: allow(float-totality) -- intentional exact-underflow guard
-        if !(p > 1e-300) || lambda * p == 0.0 {
+        // a subnormal-probability band is empty (λ·p would underflow
+        // to zero anyway); a non-finite mass is a defect of the
+        // distribution, not an empty band: the host reports NaN, and
+        // so do the aggregates
+        // dses-lint: allow(float-totality) -- exact-underflow guard on a finite mass
+        let empty = p <= 1e-300 || lambda * p == 0.0;
+        if empty || !p.is_finite() {
+            let v = if p.is_finite() { 0.0 } else { f64::NAN };
             hosts.push(HeteroHost {
                 interval: (a, b),
                 speed,
-                job_fraction: 0.0,
-                rho: 0.0,
-                load_fraction: 0.0,
-                mean_waiting: 0.0,
-                mean_slowdown: 0.0,
+                job_fraction: v,
+                rho: v,
+                load_fraction: v,
+                mean_waiting: v,
+                mean_slowdown: v,
             });
+            mean_slowdown += v;
+            mean_waiting += v;
             continue;
         }
-        // dses-lint: allow(panic-hygiene) -- guarded: the vanishing-mass branch above `continue`s
+        // dses-lint: allow(panic-hygiene) -- guarded: the branch above `continue`s on vanishing or non-finite mass
         let base = ServiceMoments::of_interval(dist, a, b).expect("positive mass");
         // scale the *time* moments; keep the reference inverse moments
         let scaled = ServiceMoments {
@@ -268,6 +276,17 @@ mod tests {
         let a = analyze_hetero(&d, lambda, &[30_000.0], &[1.0, 4.0]);
         let long_host = a.hosts[1];
         assert!((long_host.mean_slowdown - 0.25).abs() < 0.05);
+    }
+
+    #[test]
+    fn a_nan_band_mass_is_not_an_empty_host() {
+        let d = crate::test_support::NanAtInfinity(dses_dist::Exponential::new(1.0).unwrap());
+        let a = analyze_hetero(&d, 1.4, &[1.0], &[1.0, 2.0]);
+        assert!(a.hosts[0].job_fraction > 0.0);
+        assert!(a.hosts[1].job_fraction.is_nan(), "{:?}", a.hosts[1]);
+        assert!(a.mean_slowdown.is_nan(), "mean slowdown {}", a.mean_slowdown);
+        assert!(a.mean_waiting.is_nan());
+        assert!(!a.is_stable());
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub mod policies;
 pub mod ps;
 pub mod sita;
 pub mod sjf;
+#[cfg(test)]
+mod test_support;
 pub mod transform;
 
 pub use cutoff::{

@@ -45,6 +45,27 @@ pub struct SitaHost {
     pub service: Option<ServiceMoments>,
 }
 
+impl SitaHost {
+    /// A host whose every figure is `v` and that has no service
+    /// moments: 0 for an empty band, NaN for a band whose mass is not
+    /// finite.
+    fn filled(interval: (f64, f64), v: f64) -> Self {
+        Self {
+            interval,
+            job_fraction: v,
+            lambda: v,
+            rho: v,
+            load_fraction: v,
+            mean_waiting: v,
+            mean_slowdown: v,
+            mean_queueing_slowdown: v,
+            queueing_slowdown_m2: v,
+            mean_response: v,
+            service: None,
+        }
+    }
+}
+
 /// Whole-system analysis of a SITA policy.
 ///
 /// ```
@@ -84,7 +105,9 @@ impl SitaAnalysis {
     ///
     /// Hosts with an empty size interval simply receive no jobs. If any
     /// host with positive job fraction is unstable (`ρᵢ ≥ 1`), the
-    /// aggregate metrics are `+∞`.
+    /// aggregate metrics are `+∞`. A band whose mass `dist` reports as
+    /// non-finite gives a host of NaNs, NaN aggregates, and an analysis
+    /// that is not stable.
     #[must_use]
     pub fn analyze<D: Distribution + ?Sized>(dist: &D, lambda: f64, cutoffs: &[f64]) -> Self {
         assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be positive");
@@ -103,26 +126,18 @@ impl SitaAnalysis {
             let (a, b) = (w[0], w[1]);
             let p = dist.prob_in(a, b);
             let work = dist.partial_moment(1, a, b);
-            // treat subnormal-probability bands as empty: the host gets
-            // effectively no jobs, and λ·p would underflow to zero anyway
-            // dses-lint: allow(float-totality) -- intentional exact-underflow guard
-            if !(p > 1e-300) || lambda * p == 0.0 {
-                hosts.push(SitaHost {
-                    interval: (a, b),
-                    job_fraction: 0.0,
-                    lambda: 0.0,
-                    rho: 0.0,
-                    load_fraction: 0.0,
-                    mean_waiting: 0.0,
-                    mean_slowdown: 0.0,
-                    mean_queueing_slowdown: 0.0,
-                    queueing_slowdown_m2: 0.0,
-                    mean_response: 0.0,
-                    service: None,
-                });
+            // a subnormal-probability band is empty (λ·p would underflow
+            // to zero anyway); a non-finite mass is a defect of the
+            // distribution, not an empty band: the host reports NaN, and
+            // so do the aggregates
+            // dses-lint: allow(float-totality) -- exact-underflow guard on a finite mass
+            let empty = p <= 1e-300 || lambda * p == 0.0;
+            if empty || !p.is_finite() {
+                let v = if p.is_finite() { 0.0 } else { f64::NAN };
+                hosts.push(SitaHost::filled((a, b), v));
                 continue;
             }
-            // dses-lint: allow(panic-hygiene) -- guarded: the branch above returns on vanishing mass
+            // dses-lint: allow(panic-hygiene) -- guarded: the branch above `continue`s on vanishing or non-finite mass
             let service = ServiceMoments::of_interval(dist, a, b).expect("positive mass");
             let host_lambda = lambda * p;
             let q = Mg1::new(host_lambda, service);
@@ -331,6 +346,18 @@ mod tests {
         let a = SitaAnalysis::analyze(&d, 0.5 / d.mean(), &[1000.0]);
         assert!(a.slowdown_at(10.0) > a.slowdown_at(100.0));
         assert!(a.slowdown_at(2000.0) > a.slowdown_at(100_000.0));
+    }
+
+    #[test]
+    fn a_nan_band_mass_is_not_an_empty_host() {
+        let d = crate::test_support::NanAtInfinity(Exponential::new(1.0).unwrap());
+        let a = SitaAnalysis::analyze(&d, 1.4, &[1.0]);
+        assert!(a.hosts[0].job_fraction > 0.0);
+        assert!(a.hosts[1].job_fraction.is_nan(), "{:?}", a.hosts[1]);
+        assert!(a.hosts[1].rho.is_nan());
+        assert!(a.mean_slowdown.is_nan(), "mean slowdown {}", a.mean_slowdown);
+        assert!(a.mean_waiting.is_nan());
+        assert!(!a.is_stable());
     }
 
     #[test]

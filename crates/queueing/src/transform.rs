@@ -734,36 +734,30 @@ mod tests {
         assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
     }
 
-    /// Exponential whose `cdf(∞)` is NaN, as Erlang's and LogNormal's
-    /// were: the band above any cutoff then has NaN mass.
-    #[derive(Debug)]
-    struct NanAtInfinity(Exponential);
-
-    impl Distribution for NanAtInfinity {
-        fn sample(&self, rng: &mut dses_dist::Rng64) -> f64 {
-            self.0.sample(rng)
-        }
-        fn support(&self) -> (f64, f64) {
-            self.0.support()
-        }
-        fn cdf(&self, x: f64) -> f64 {
-            if x.is_infinite() {
-                f64::NAN
-            } else {
-                self.0.cdf(x)
+    #[test]
+    fn every_band_honours_the_distribution_contract() {
+        // the top bands end at +∞, where every cdf must reach 1
+        let erlang = Erlang::with_mean(4, 1000.0).unwrap();
+        let lognormal = LogNormal::fit_mean_scv(1000.0, 8.0).unwrap();
+        let c90 = c90();
+        let cases: [(&str, &dyn Distribution, Vec<f64>); 3] = [
+            ("Erlang-4", &erlang, vec![700.0, 1400.0]),
+            ("LogNormal", &lognormal, vec![300.0, 3000.0]),
+            ("C90", &c90, vec![4562.0]),
+        ];
+        for (name, d, cutoffs) in cases {
+            let lambda = 0.7 * (cutoffs.len() + 1) as f64 / d.mean();
+            let hosts = split_hosts(d, lambda, &cutoffs).expect("finite band masses");
+            assert_eq!(hosts.len(), cutoffs.len() + 1, "{name}");
+            for h in &hosts {
+                assert_eq!(dses_dist::conformance::check(&h.band), Ok(()), "{name} {:?}", h.band);
             }
-        }
-        fn quantile(&self, p: f64) -> f64 {
-            self.0.quantile(p)
-        }
-        fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
-            self.0.partial_moment(k, a, b)
         }
     }
 
     #[test]
     fn sita_tails_report_nan_for_a_band_with_nan_mass() {
-        let d = NanAtInfinity(Exponential::new(1.0).unwrap());
+        let d = crate::test_support::NanAtInfinity(Exponential::new(1.0).unwrap());
         assert!(d.prob_in(1.0, f64::INFINITY).is_nan());
         let lambda = 1.4;
         let cutoffs = [1.0];
